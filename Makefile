@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench bench-record check difftest faultinject fuzz soak obs cluster chaos storagefault
+.PHONY: all build vet test race bench check difftest faultinject fuzz soak obs cluster chaos storagefault
 
 all: check
 
@@ -24,18 +24,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Record the benchmark trajectory: BenchmarkMine at three database
-# scales for both tree engines (slab default vs the seed pointer tree
-# behind Options.PointerTree), written as BENCH_pr6.json at the repo
-# root. Format documented in EXPERIMENTS.md. Set DISC_BENCH_SUMMARY to
-# also append a markdown comparison table (CI points it at
-# $$GITHUB_STEP_SUMMARY) and DISC_BENCH_ENFORCE=1 to fail unless the
-# slab engine cuts allocs/op by >= 25% and improves ns/op at the medium
-# and large scales.
-BENCH_RECORD ?= BENCH_pr6.json
-bench-record:
-	DISC_BENCH_RECORD=$(BENCH_RECORD) $(GO) test -run TestBenchRecord -count=1 -v -timeout 1800s .
 
 # The full differential grid (128 generated/mutated databases × every
 # miner and DISC option combination) under the race detector. The plain
@@ -96,16 +84,17 @@ chaos:
 
 # Storage faults under the race detector: the durable-state plane's
 # filesystem seam and fault FS (deterministic ENOSPC budgets, torn
-# writes, sync errors, silent bit flips), quarantine-not-crash recovery
-# and degraded-durability in jobs and cluster, retention GC and the
-# resting-file scrubber, the healthz/metrics surfacing in discserve, and
+# writes, sync errors, silent bit flips), the shared degraded-durability
+# latch, quarantine-not-crash recovery and degraded durability in jobs
+# and cluster, retention GC and the resting-file scrubber, the
+# healthz/metrics surfacing in discserve, and
 # the disk-fault differential grid (byte-identical or typed degraded
 # completion, never a crash, every regime proving its fault fired).
 # Finishes with a fuzz smoke of both durable-document decoders: any
 # input either decodes or fails typed (ErrCorrupt/ErrVersion) — never a
 # panic.
 storagefault:
-	$(GO) test -race -run 'TestStorage|TestKindOf|TestSweep|TestScrub|TestQuarantine|TestFSNil' -count=1 ./internal/checkpoint ./internal/faultinject ./internal/cluster
+	$(GO) test -race -run 'TestStorage|TestKindOf|TestSweep|TestScrub|TestQuarantine|TestFSNil|TestDurability' -count=1 ./internal/checkpoint ./internal/faultinject ./internal/cluster
 	$(GO) test -race -run 'TestCheckpointFailuresCountedAndDegrade|TestDurabilityRearmsAfterProbe|TestCorruptCheckpointQuarantinedNotCrash|TestStartupGCReclaimsOrphans|TestStartupScrubQuarantinesBitRot|TestPeriodicStorageGC' -count=1 ./internal/jobs
 	$(GO) test -race -run 'TestHealthzSurfacesDegradedDurability|TestMetricsExposeStorageFamilies' -count=1 ./cmd/discserve
 	$(GO) test -race -run TestStorageFaultGrid -count=1 ./internal/difftest

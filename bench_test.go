@@ -8,6 +8,7 @@ package disc
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"github.com/disc-mining/disc/internal/gen"
 	"github.com/disc-mining/disc/internal/mining"
 	"github.com/disc-mining/disc/internal/prefixspan"
+	"github.com/disc-mining/disc/internal/testutil"
 )
 
 // Workload cache: databases are generated once and shared by the
@@ -76,6 +78,25 @@ func benchMiner(b *testing.B, m mining.Miner, db Database, minSup int) {
 		patterns = res.Len()
 	}
 	b.ReportMetric(float64(patterns), "patterns")
+}
+
+// BenchmarkMine measures the default engine (slab tree + round arenas)
+// on an engine-dominated skewed workload — small item alphabet, deep
+// partition recursion, many DISC rounds, the same family as the
+// instrumentation-overhead guard — at the three customer counts recorded
+// in BENCH_pr6.json. The paper-figure benchmarks below measure end-to-end
+// mining where result-set construction dominates; this one isolates the
+// engine core.
+func BenchmarkMine(b *testing.B) {
+	for _, sc := range []struct {
+		name  string
+		ncust int
+	}{{"small", 200}, {"medium", 400}, {"large", 600}} {
+		db := Database(testutil.SkewedRandomDB(rand.New(rand.NewSource(77)), sc.ncust, 14, 8, 5))
+		b.Run(sc.name, func(b *testing.B) {
+			benchMiner(b, NewDISCAll(DefaultOptions()), db, 4)
+		})
+	}
 }
 
 // BenchmarkFig8 measures the Figure 8 point (database-size sweep, minsup

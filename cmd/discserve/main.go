@@ -100,7 +100,6 @@ type serveConfig struct {
 	advertise     string         // worker side: our externally reachable base URL
 	heartbeat     time.Duration  // worker side: registration interval
 	clusterSecret string         // shared fleet secret (both roles)
-	storageGC     time.Duration  // cadence of the coordinator's ledger-dir GC
 	faults        *faultinject.Injector
 }
 
@@ -143,7 +142,7 @@ func parseFlags(args []string) (serveConfig, error) {
 	fs.DurationVar(&cfg.heartbeat, "heartbeat", 10*time.Second, "worker: registration heartbeat interval")
 	fs.StringVar(&cfg.clusterSecret, "cluster-secret", "", "shared fleet secret required on /cluster/register and /cluster/shard (empty = open; trusted networks only)")
 	fs.DurationVar(&cfg.jobs.StorageRetention, "storage-retention", 168*time.Hour, "reclaim orphaned checkpoints, stale ledgers, quarantined *.corrupt files and .tmp leftovers older than this (0 = keep forever)")
-	fs.DurationVar(&cfg.storageGC, "storage-gc-interval", time.Hour, "cadence of the periodic storage GC and resting-file CRC scrub over the checkpoint and ledger directories (0 = startup pass only)")
+	fs.DurationVar(&cfg.jobs.StorageGCInterval, "storage-gc-interval", time.Hour, "cadence of the periodic storage GC and resting-file CRC scrub over the checkpoint and ledger directories (0 = startup pass only)")
 	seed := fs.Int64("fault-seed", 0, "fault injection seed (testing/drills)")
 	panicN := fs.Int("fault-panic-after", 0, "inject a worker panic on the N-th partition (testing/drills)")
 	cancelN := fs.Int("fault-cancel-after", 0, "inject a cancellation on the N-th partition (testing/drills)")
@@ -207,10 +206,9 @@ func parseFlags(args []string) (serveConfig, error) {
 	if cfg.jobs.StorageRetention < 0 {
 		return cfg, fmt.Errorf("-storage-retention must not be negative (got %s)", cfg.jobs.StorageRetention)
 	}
-	if cfg.storageGC < 0 {
-		return cfg, fmt.Errorf("-storage-gc-interval must not be negative (got %s)", cfg.storageGC)
+	if cfg.jobs.StorageGCInterval < 0 {
+		return cfg, fmt.Errorf("-storage-gc-interval must not be negative (got %s)", cfg.jobs.StorageGCInterval)
 	}
-	cfg.jobs.StorageGCInterval = cfg.storageGC
 	cfg.cluster.StorageRetention = cfg.jobs.StorageRetention
 	if *panicN > 0 || *cancelN > 0 || *dropProb > 0 || *slowProb > 0 || *hangN > 0 || *crashN > 0 ||
 		*enospcB > 0 || *tornProb > 0 || *syncProb > 0 || *flipProb > 0 {
@@ -332,8 +330,6 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	mgr := jobs.NewManager(cfg.jobs)
-	gcCtx, gcCancel := context.WithCancel(context.Background())
-	defer gcCancel()
 	if coord != nil {
 		// Resubmit jobs interrupted by a previous coordinator's death; each
 		// reloads its ledger inside Mine and re-runs only unfinished shards.
@@ -342,21 +338,8 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		if n := coord.Recover(mgr.Submit); n > 0 {
 			logf("discserve: recovered %d interrupted job(s) from the shard ledger", n)
 		}
-		coord.StorageGC()
-		if cfg.storageGC > 0 && cfg.cluster.LedgerDir != "" {
-			go func() {
-				tick := time.NewTicker(cfg.storageGC)
-				defer tick.Stop()
-				for {
-					select {
-					case <-tick.C:
-						coord.StorageGC()
-					case <-gcCtx.Done():
-						return
-					}
-				}
-			}()
-		}
+		stopGC := coord.StorageGC(cfg.jobs.StorageGCInterval)
+		defer stopGC()
 	}
 	srv := newServer(mgr, cfg.limits, cfg.maxBodyBytes, cfg.workers, logf)
 	if coord != nil {

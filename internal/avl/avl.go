@@ -20,8 +20,9 @@
 // left links, and Reset rewinds the whole structure in O(1) without
 // releasing the slabs to the garbage collector — a tree drawn from a
 // per-worker arena is reused across DISC rounds and partitions at zero
-// steady-state allocation cost. The seed pointer-per-node implementation
-// survives as Pointer (see pointer.go) purely as a differential oracle.
+// steady-state allocation cost. Tree is the DISC engine's only locative
+// tree; the package tests check every operation against a sorted-slice
+// model of (key, value) pairs.
 package avl
 
 import (
@@ -52,19 +53,6 @@ func (r *Recorder) slabGrow() {
 	if r != nil {
 		r.SlabGrows.Add(1)
 	}
-}
-
-// Interface is the ordered bucket-tree API the DISC engine consumes,
-// satisfied by both the slab Tree (the default) and the seed Pointer
-// tree (the differential oracle behind core.Options.PointerTree).
-type Interface[K, V any] interface {
-	Insert(k K, v V)
-	Min() (k K, vals []V, ok bool)
-	PopMin() (k K, vals []V, ok bool)
-	Select(r int) (k K, ok bool)
-	Size() int
-	Reset()
-	MemBytes() int64
 }
 
 // node is one slot of the structural slab: child links are indices into

@@ -7,104 +7,104 @@ import (
 	"testing/quick"
 )
 
-// TestSlabMatchesPointerAndOracle is the differential property test for the
-// slab tree: a random mix of insert / delete / pop-min / reset operations is
-// applied to the slab Tree, the seed Pointer tree, and a sorted-slice
-// oracle, and after every operation the three must agree on Size, Min,
-// Select at every rank, Rank at probe keys, and Get buckets.
-func TestSlabMatchesPointerAndOracle(t *testing.T) {
+// entry is one (key, value) pair of the sorted-slice model.
+type entry struct{ k, v int }
+
+// TestSlabMatchesOracle is the differential property test for the slab
+// tree: a random mix of insert / delete / pop-min / reset operations is
+// applied to the Tree and to a sorted-slice model of (key, value) pairs
+// kept in key order, with equal keys in insertion order. After every
+// operation the two must agree on Size, Min (key and bucket), Select at
+// every rank, Rank at probe keys, and Get buckets.
+func TestSlabMatchesOracle(t *testing.T) {
 	cmp := func(a, b int) int { return a - b }
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		slab := New[int, int](cmp)
-		ptr := NewPointer[int, int](cmp)
-		var model []int // sorted multiset of keys
-		agree := func() bool {
-			if slab.Size() != len(model) || ptr.Size() != len(model) {
+		tr := New[int, int](cmp)
+		var model []entry
+		// span returns the model's [lo, hi) range holding key k.
+		span := func(k int) (lo, hi int) {
+			lo = sort.Search(len(model), func(i int) bool { return model[i].k >= k })
+			hi = sort.Search(len(model), func(i int) bool { return model[i].k > k })
+			return lo, hi
+		}
+		bucketIs := func(vals []int, lo, hi int) bool {
+			if len(vals) != hi-lo {
 				return false
 			}
-			sk, sv, sok := slab.Min()
-			pk, pv, pok := ptr.Min()
-			if sok != pok || (sok && (sk != pk || len(sv) != len(pv))) {
+			for i, v := range vals {
+				if v != model[lo+i].v {
+					return false
+				}
+			}
+			return true
+		}
+		agree := func() bool {
+			if tr.Size() != len(model) {
 				return false
+			}
+			mk, mv, ok := tr.Min()
+			if ok != (len(model) > 0) {
+				return false
+			}
+			if ok {
+				lo, hi := span(model[0].k)
+				if mk != model[0].k || !bucketIs(mv, lo, hi) {
+					return false
+				}
 			}
 			for rk := 1; rk <= len(model); rk++ {
-				a, aok := slab.Select(rk)
-				b, bok := ptr.Select(rk)
-				if !aok || !bok || a != b || a != model[rk-1] {
+				if k, ok := tr.Select(rk); !ok || k != model[rk-1].k {
 					return false
 				}
 			}
 			for probe := -1; probe < 42; probe += 7 {
-				if slab.Rank(probe) != ptr.Rank(probe) {
+				lo, hi := span(probe)
+				if tr.Rank(probe) != lo {
 					return false
 				}
-				sv, sok := slab.Get(probe)
-				pv, pok := ptr.Get(probe)
-				if sok != pok || len(sv) != len(pv) {
+				vals, ok := tr.Get(probe)
+				if ok != (hi > lo) || !bucketIs(vals, lo, hi) {
 					return false
-				}
-				for i := range sv {
-					if sv[i] != pv[i] {
-						return false
-					}
 				}
 			}
 			return true
 		}
 		for op := 0; op < 400; op++ {
 			switch r.Intn(8) {
-			case 0, 1, 2, 3: // insert
+			case 0, 1, 2, 3: // insert after any equal keys
 				k := r.Intn(40)
-				slab.Insert(k, op)
-				ptr.Insert(k, op)
-				i := sort.SearchInts(model, k)
-				model = append(model, 0)
-				copy(model[i+1:], model[i:])
-				model[i] = k
+				tr.Insert(k, op)
+				_, hi := span(k)
+				model = append(model, entry{})
+				copy(model[hi+1:], model[hi:])
+				model[hi] = entry{k, op}
 			case 4, 5: // pop min bucket, compare contents
-				sk, sv, sok := slab.PopMin()
-				pk, pv, pok := ptr.PopMin()
-				if sok != pok {
+				k, vals, ok := tr.PopMin()
+				if ok != (len(model) > 0) {
 					return false
 				}
-				if !sok {
+				if !ok {
 					continue
 				}
-				if sk != pk || len(sv) != len(pv) {
+				_, hi := span(k)
+				if k != model[0].k || !bucketIs(vals, 0, hi) {
 					return false
 				}
-				for i := range sv {
-					if sv[i] != pv[i] {
-						return false
-					}
-				}
-				cnt := 0
-				for cnt < len(model) && model[cnt] == sk {
-					cnt++
-				}
-				if len(sv) != cnt {
-					return false
-				}
-				model = model[cnt:]
+				model = model[hi:]
 			case 6: // delete random key
 				if len(model) == 0 {
 					continue
 				}
-				k := model[r.Intn(len(model))]
-				if !slab.Delete(k) || !ptr.Delete(k) {
+				k := model[r.Intn(len(model))].k
+				if !tr.Delete(k) {
 					return false
 				}
-				lo := sort.SearchInts(model, k)
-				hi := lo
-				for hi < len(model) && model[hi] == k {
-					hi++
-				}
+				lo, hi := span(k)
 				model = append(model[:lo], model[hi:]...)
 			case 7: // occasional full reset: exercises slab reuse
 				if r.Intn(10) == 0 {
-					slab.Reset()
-					ptr.Reset()
+					tr.Reset()
 					model = model[:0]
 				}
 			}
@@ -112,7 +112,7 @@ func TestSlabMatchesPointerAndOracle(t *testing.T) {
 				return false
 			}
 		}
-		checkInvariants(t, slab)
+		checkInvariants(t, tr)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -213,12 +213,4 @@ func TestMemBytesTracksSlabs(t *testing.T) {
 	if got := tr.MemBytes(); got != full {
 		t.Fatalf("Reset changed MemBytes %d -> %d; slabs should be retained", full, got)
 	}
-}
-
-// TestInterfaceCompliance pins both implementations to the engine-facing
-// Interface at compile time.
-func TestInterfaceCompliance(t *testing.T) {
-	cmp := func(a, b int) int { return a - b }
-	var _ Interface[int, int] = New[int, int](cmp)
-	var _ Interface[int, int] = NewPointer[int, int](cmp)
 }

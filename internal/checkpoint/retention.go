@@ -3,7 +3,7 @@
 // retire() never ran, interrupted .tmp staging files and quarantined
 // *.corrupt evidence all accumulate without bound unless something
 // sweeps them; and a file that verified when written can still rot on
-// the platter. The Sweeper bounds the first problem by age and count,
+// the platter. The sweeper bounds the first problem by age and count,
 // the Scrub pass catches the second by re-verifying CRCs at rest and
 // quarantining what no longer decodes.
 package checkpoint
@@ -39,46 +39,44 @@ func kindOf(path string) string {
 	return ""
 }
 
-// Sweeper reclaims aged durable-state files and re-verifies resting
-// ones. The zero value never deletes anything; callers opt in per
-// policy field.
-type Sweeper struct {
-	// FS is the filesystem removals and quarantine renames go through
-	// (nil = OS). Directory listing and mtime stat use the os package
-	// directly: metadata reads are not a fault-injection surface.
-	FS FS
-	// Retention is the age beyond which an orphaned checkpoint, retired
+// sweeper reclaims aged durable-state files and re-verifies resting
+// ones. Durability builds the one sweeper each directory has, wired to
+// the storage metrics; a zero value never deletes anything.
+type sweeper struct {
+	// fs carries removals and quarantine renames (nil = OS). Directory
+	// listing and mtime stat use the os package directly: metadata reads
+	// are not a fault-injection surface.
+	fs FS
+	// retention is the age beyond which an orphaned checkpoint, retired
 	// ledger, quarantined file or stale .tmp is reclaimed. Zero disables
 	// age-based sweeping.
-	Retention time.Duration
-	// MaxQuarantined caps how many *.corrupt files a directory may hold;
+	retention time.Duration
+	// maxQuarantined caps how many *.corrupt files a directory may hold;
 	// beyond it the oldest are reclaimed regardless of age. Zero means
 	// uncapped.
-	MaxQuarantined int
-	// Keep vetoes reclamation of a live file — the jobs manager supplies
-	// one that protects checkpoints of queued and running jobs. Nil
-	// keeps nothing extra.
-	Keep func(path string) bool
-	// Now is the clock (nil = time.Now), a seam for tests.
-	Now func() time.Time
-	// Logf receives one line per reclaimed or quarantined file (nil =
+	maxQuarantined int
+	// keep vetoes reclamation of a live file (nil keeps nothing extra).
+	keep func(path string) bool
+	// now is the clock (nil = time.Now).
+	now func() time.Time
+	// logf receives one line per reclaimed or quarantined file (nil =
 	// silent).
-	Logf func(format string, args ...any)
-	// OnReclaim observes every successful removal, by kind.
-	OnReclaim func(kind string, files int, bytes int64)
-	// OnQuarantine observes every file the scrubber quarantines, by kind.
-	OnQuarantine func(kind string)
+	logf func(format string, args ...any)
+	// onReclaim observes every successful removal, by kind.
+	onReclaim func(kind string, files int, bytes int64)
+	// onQuarantine observes every file the scrub quarantines, by kind.
+	onQuarantine func(kind string)
 }
 
-func (s *Sweeper) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
+func (s *sweeper) log(format string, args ...any) {
+	if s.logf != nil {
+		s.logf(format, args...)
 	}
 }
 
-func (s *Sweeper) now() time.Time {
-	if s.Now != nil {
-		return s.Now()
+func (s *sweeper) clock() time.Time {
+	if s.now != nil {
+		return s.now()
 	}
 	return time.Now()
 }
@@ -91,11 +89,11 @@ type agedFile struct {
 }
 
 // list stats every durable-state file in dir, oldest first.
-func (s *Sweeper) list(dir string) []agedFile {
+func (s *sweeper) list(dir string) []agedFile {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			s.logf("storage: gc cannot list %s: %v", dir, err)
+			s.log("storage: gc cannot list %s: %v", dir, err)
 		}
 		return nil
 	}
@@ -119,32 +117,32 @@ func (s *Sweeper) list(dir string) []agedFile {
 	return files
 }
 
-func (s *Sweeper) reclaim(f agedFile, why string) bool {
-	if s.Keep != nil && s.Keep(f.path) {
+func (s *sweeper) reclaim(f agedFile, why string) bool {
+	if s.keep != nil && s.keep(f.path) {
 		return false
 	}
-	if err := orOS(s.FS).Remove(f.path); err != nil {
-		s.logf("storage: gc cannot remove %s: %v", f.path, err)
+	if err := orOS(s.fs).Remove(f.path); err != nil {
+		s.log("storage: gc cannot remove %s: %v", f.path, err)
 		return false
 	}
-	s.logf("storage: gc reclaimed %s %s (%d bytes, %s)", f.kind, filepath.Base(f.path), f.size, why)
-	if s.OnReclaim != nil {
-		s.OnReclaim(f.kind, 1, f.size)
+	s.log("storage: gc reclaimed %s %s (%d bytes, %s)", f.kind, filepath.Base(f.path), f.size, why)
+	if s.onReclaim != nil {
+		s.onReclaim(f.kind, 1, f.size)
 	}
 	return true
 }
 
-// Sweep applies the retention policy to dir: files older than Retention
-// are removed (subject to Keep), and *.corrupt files beyond
-// MaxQuarantined are removed oldest-first regardless of age. Returns
+// Sweep applies the retention policy to dir: files older than retention
+// are removed (subject to keep), and *.corrupt files beyond
+// maxQuarantined are removed oldest-first regardless of age. Returns
 // the number of files reclaimed. A missing directory sweeps to zero.
-func (s *Sweeper) Sweep(dir string) int {
+func (s *sweeper) Sweep(dir string) int {
 	files := s.list(dir)
 	reclaimed := 0
 	var quarantined []agedFile
 	cutoff := time.Time{}
-	if s.Retention > 0 {
-		cutoff = s.now().Add(-s.Retention)
+	if s.retention > 0 {
+		cutoff = s.clock().Add(-s.retention)
 	}
 	for _, f := range files {
 		if !cutoff.IsZero() && f.mtime.Before(cutoff) {
@@ -157,9 +155,9 @@ func (s *Sweeper) Sweep(dir string) int {
 			quarantined = append(quarantined, f)
 		}
 	}
-	if s.MaxQuarantined > 0 && len(quarantined) > s.MaxQuarantined {
+	if s.maxQuarantined > 0 && len(quarantined) > s.maxQuarantined {
 		// quarantined inherits list's oldest-first order.
-		for _, f := range quarantined[:len(quarantined)-s.MaxQuarantined] {
+		for _, f := range quarantined[:len(quarantined)-s.maxQuarantined] {
 			if s.reclaim(f, "over quarantine cap") {
 				reclaimed++
 			}
@@ -173,29 +171,29 @@ func (s *Sweeper) Sweep(dir string) int {
 // resume would trip over it. Unreadable files (permissions, vanished
 // mid-scrub) are skipped, not quarantined: the file may be fine next
 // pass. Returns the number of files quarantined.
-func (s *Sweeper) Scrub(dir string) int {
+func (s *sweeper) Scrub(dir string) int {
 	quarantined := 0
 	for _, f := range s.list(dir) {
 		var err error
 		switch f.kind {
 		case KindCheckpoint:
-			_, err = ReadFileFS(s.FS, f.path)
+			_, err = ReadFileFS(s.fs, f.path)
 		case KindLedger:
-			_, err = ReadLedgerFileFS(s.FS, f.path)
+			_, err = ReadLedgerFileFS(s.fs, f.path)
 		default:
 			continue
 		}
 		if err == nil || !Undecodable(err) {
 			continue
 		}
-		q, qerr := Quarantine(s.FS, f.path)
+		q, qerr := Quarantine(s.fs, f.path)
 		if qerr != nil {
-			s.logf("storage: scrub cannot quarantine %s: %v", f.path, qerr)
+			s.log("storage: scrub cannot quarantine %s: %v", f.path, qerr)
 			continue
 		}
-		s.logf("storage: scrub quarantined %s %s -> %s: %v", f.kind, filepath.Base(f.path), filepath.Base(q), err)
-		if s.OnQuarantine != nil {
-			s.OnQuarantine(f.kind)
+		s.log("storage: scrub quarantined %s %s -> %s: %v", f.kind, filepath.Base(f.path), filepath.Base(q), err)
+		if s.onQuarantine != nil {
+			s.onQuarantine(f.kind)
 		}
 		quarantined++
 	}

@@ -48,17 +48,17 @@ func TestSweepReclaimsByAge(t *testing.T) {
 
 	var gotFiles int
 	var gotBytes int64
-	s := &Sweeper{
-		Retention: 24 * time.Hour,
-		Now:       func() time.Time { return now },
-		Keep:      func(path string) bool { return filepath.Base(path) == "kept.ckpt" },
-		OnReclaim: func(kind string, files int, bytes int64) { gotFiles += files; gotBytes += bytes },
+	s := &sweeper{
+		retention: 24 * time.Hour,
+		now:       func() time.Time { return now },
+		keep:      func(path string) bool { return filepath.Base(path) == "kept.ckpt" },
+		onReclaim: func(kind string, files int, bytes int64) { gotFiles += files; gotBytes += bytes },
 	}
 	if n := s.Sweep(dir); n != 3 {
 		t.Fatalf("Sweep reclaimed %d files, want 3", n)
 	}
 	if gotFiles != 3 || gotBytes != 3 {
-		t.Fatalf("OnReclaim saw %d files / %d bytes, want 3 / 3", gotFiles, gotBytes)
+		t.Fatalf("onReclaim saw %d files / %d bytes, want 3 / 3", gotFiles, gotBytes)
 	}
 	for _, name := range []string{"fresh.ckpt", "kept.ckpt", "not-ours.txt"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
@@ -81,10 +81,10 @@ func TestSweepCapsQuarantine(t *testing.T) {
 	for i, name := range names {
 		writeAged(t, filepath.Join(dir, name), "x", now, time.Duration(len(names)-i)*time.Minute)
 	}
-	s := &Sweeper{
-		Retention:      24 * time.Hour,
-		MaxQuarantined: 2,
-		Now:            func() time.Time { return now },
+	s := &sweeper{
+		retention:      24 * time.Hour,
+		maxQuarantined: 2,
+		now:            func() time.Time { return now },
 	}
 	if n := s.Sweep(dir); n != 3 {
 		t.Fatalf("Sweep reclaimed %d files, want 3", n)
@@ -106,14 +106,14 @@ func TestSweepZeroValueDeletesNothing(t *testing.T) {
 	now := time.Now()
 	writeAged(t, filepath.Join(dir, "ancient.ckpt"), "x", now, 1000*time.Hour)
 	writeAged(t, filepath.Join(dir, "ancient.ckpt.corrupt"), "x", now, 1000*time.Hour)
-	var s Sweeper
+	var s sweeper
 	if n := s.Sweep(dir); n != 0 {
 		t.Fatalf("zero-value Sweep reclaimed %d files, want 0", n)
 	}
 }
 
 func TestSweepMissingDir(t *testing.T) {
-	s := &Sweeper{Retention: time.Hour}
+	s := &sweeper{retention: time.Hour}
 	if n := s.Sweep(filepath.Join(t.TempDir(), "never-created")); n != 0 {
 		t.Fatal("sweeping a missing directory should reclaim nothing")
 	}
@@ -143,12 +143,12 @@ func TestScrubQuarantinesBitRot(t *testing.T) {
 	}
 
 	var kinds []string
-	s := &Sweeper{OnQuarantine: func(kind string) { kinds = append(kinds, kind) }}
+	s := &sweeper{onQuarantine: func(kind string) { kinds = append(kinds, kind) }}
 	if n := s.Scrub(dir); n != 1 {
 		t.Fatalf("Scrub quarantined %d files, want 1", n)
 	}
 	if len(kinds) != 1 || kinds[0] != KindCheckpoint {
-		t.Fatalf("OnQuarantine kinds = %v, want [checkpoint]", kinds)
+		t.Fatalf("onQuarantine kinds = %v, want [checkpoint]", kinds)
 	}
 	if _, err := os.Stat(rotted + QuarantineSuffix); err != nil {
 		t.Fatalf("rotted checkpoint should be at %s: %v", rotted+QuarantineSuffix, err)

@@ -136,19 +136,13 @@ type Coordinator struct {
 	ledgerWrites   *obs.Counter
 	ledgerFailures *obs.Counter
 	ledgerResumed  *obs.Counter
-	quarantined    *obs.Counter // disc_storage_quarantined_total{kind="ledger"}
 	ledgerDur      *obs.Histogram
 	shardDur       *obs.Histogram
 	workerLat      map[string]*obs.Histogram // worker url -> latency histogram
 
-	// Durability state: consecutive ledger write failures and the
-	// degraded-durability latch. dmu is a leaf lock — never held while
-	// taking c.mu or calling into the registry — because the
-	// disc_storage_degraded gauge reads it at render time.
-	dmu         sync.Mutex
-	consecFails int
-	degraded    bool
-	lastProbe   time.Time
+	// store is the ledger directory's durable-state plane: the
+	// degraded-durability latch, quarantine, and retention GC.
+	store *checkpoint.Durability
 }
 
 // New starts a coordinator over the statically configured peers.
@@ -182,12 +176,6 @@ func New(cfg Config) *Coordinator {
 	}
 	if cfg.FS == nil {
 		cfg.FS = checkpoint.OS
-	}
-	if cfg.DegradeAfter == 0 {
-		cfg.DegradeAfter = 3
-	}
-	if cfg.DurabilityProbe <= 0 {
-		cfg.DurabilityProbe = 15 * time.Second
 	}
 	o := cfg.Obs
 	if o == nil {
@@ -226,17 +214,10 @@ func New(cfg Config) *Coordinator {
 		"Durable shard-ledger writes that failed (disk full, torn write, sync error).")
 	c.ledgerResumed = r.Counter("disc_cluster_ledger_resumed_shards_total",
 		"Shards restored as already done from a persisted shard ledger after a coordinator restart.")
-	c.quarantined = r.Counter("disc_storage_quarantined_total",
-		"Durable-state files quarantined after failing CRC or decode verification, by kind.",
-		obs.Label{Key: "kind", Value: checkpoint.KindLedger})
-	r.GaugeFunc("disc_storage_degraded",
-		"1 while durability is degraded (checkpoint writes suspended after repeated failures), by component.",
-		func() float64 {
-			if c.DegradedDurability() {
-				return 1
-			}
-			return 0
-		}, obs.Label{Key: "component", Value: "cluster"})
+	c.store = checkpoint.NewDurability("cluster", checkpoint.KindLedger, cfg.LedgerDir,
+		checkpoint.Policy{FS: cfg.FS, DegradeAfter: cfg.DegradeAfter, Probe: cfg.DurabilityProbe,
+			Retention: cfg.StorageRetention},
+		cfg.Logf, r)
 	c.ledgerDur = r.Histogram("disc_cluster_ledger_write_seconds",
 		"Latency of one atomic shard-ledger write.", obs.DurationBuckets)
 	c.shardDur = r.Histogram("disc_cluster_shard_duration_seconds",
@@ -543,7 +524,7 @@ func (c *Coordinator) Mine(ctx context.Context, req jobs.Request, cp *core.Check
 		default:
 			c.cfg.Logf("cluster: no live workers, mining %s locally", req.Algo)
 		}
-		res, err := c.mineLocal(ctx, req, cp, nil)
+		res, err := c.mineWith(ctx, req, cp, nil)
 		if err == nil && c.cfg.LedgerDir != "" && shardable(req.Algo) {
 			// A ledger left behind by a clustered incarnation of this job
 			// is satisfied by the local result; retire it so restarts stop
@@ -1051,12 +1032,6 @@ func (c *Coordinator) watchExpiry(ctx context.Context, cancel context.CancelFunc
 	return stop
 }
 
-// mineLocal is the no-fleet path: exactly what the manager's default
-// mining would have done.
-func (c *Coordinator) mineLocal(ctx context.Context, req jobs.Request, cp *core.Checkpointer, spec *core.ShardSpec) (*mining.Result, error) {
-	return c.mineWith(ctx, req, cp, spec)
-}
-
 // mineWith runs the job's algorithm here with the given checkpointer and
 // optional shard scope. The run's engine spans carry the request's
 // trace (when the manager minted one), parented under whatever span the
@@ -1164,99 +1139,23 @@ func (c *Coordinator) LedgerWriteFailures() int { return int(c.ledgerFailures.Va
 
 // QuarantinedLedgers reports how many ledgers this coordinator has
 // quarantined as undecodable.
-func (c *Coordinator) QuarantinedLedgers() int { return int(c.quarantined.Value()) }
+func (c *Coordinator) QuarantinedLedgers() int { return int(c.store.Quarantined()) }
 
 // DegradedDurability reports whether ledger persistence is currently
 // degraded: repeated write failures suspended it and no probe write has
 // succeeded yet. Mining is unaffected — results stay byte-identical —
 // but a coordinator crash while degraded recovers from checkpoints
 // instead of the ledger.
-func (c *Coordinator) DegradedDurability() bool {
-	c.dmu.Lock()
-	defer c.dmu.Unlock()
-	return c.degraded
-}
+func (c *Coordinator) DegradedDurability() bool { return c.store.State().Degraded }
 
-// durabilityAttempt reports whether a ledger write should be tried now:
-// always while healthy, only at DurabilityProbe cadence while degraded.
-func (c *Coordinator) durabilityAttempt() bool {
-	c.dmu.Lock()
-	defer c.dmu.Unlock()
-	if !c.degraded {
-		return true
-	}
-	if time.Since(c.lastProbe) < c.cfg.DurabilityProbe {
-		return false
-	}
-	c.lastProbe = time.Now()
-	return true
-}
-
-// durabilityFailed records one failed ledger write and latches
-// degraded-durability mode after DegradeAfter consecutive failures.
-func (c *Coordinator) durabilityFailed() {
-	c.dmu.Lock()
-	c.consecFails++
-	trip := !c.degraded && c.cfg.DegradeAfter > 0 && c.consecFails >= c.cfg.DegradeAfter
-	if trip {
-		c.degraded = true
-		c.lastProbe = time.Now()
-	}
-	n := c.consecFails
-	c.dmu.Unlock()
-	if trip {
-		c.cfg.Logf("cluster: ledger durability degraded after %d consecutive write failures; mining continues, probing every %s", n, c.cfg.DurabilityProbe)
-	}
-}
-
-// durabilityOK records one successful ledger write, re-arming
-// durability if it was degraded.
-func (c *Coordinator) durabilityOK() {
-	c.dmu.Lock()
-	rearmed := c.degraded
-	c.degraded = false
-	c.consecFails = 0
-	c.dmu.Unlock()
-	if rearmed {
-		c.cfg.Logf("cluster: ledger durability re-armed, writes succeeding again")
-	}
-}
-
-// StorageGC runs one scrub+sweep pass over LedgerDir: resting ledgers
-// are re-verified (bit-rot is quarantined before a recovery would trip
-// over it) and files past StorageRetention — stale ledgers, quarantined
-// evidence, .tmp leftovers — are reclaimed. An active job's ledger is
-// rewritten at every shard transition, so its mtime keeps it clear of
-// any sane retention window. The serving binary calls this at startup
-// (after Recover) and on its storage GC ticker.
-func (c *Coordinator) StorageGC() {
-	if c.cfg.LedgerDir == "" {
-		return
-	}
-	r := c.obs.Registry
-	s := &checkpoint.Sweeper{
-		FS:             c.cfg.FS,
-		Retention:      c.cfg.StorageRetention,
-		MaxQuarantined: 32,
-		Logf:           c.cfg.Logf,
-		OnReclaim: func(kind string, files int, bytes int64) {
-			r.Counter("disc_storage_reclaimed_files_total",
-				"Durable-state files reclaimed by retention GC, by kind.",
-				obs.Label{Key: "kind", Value: kind}).Add(int64(files))
-			r.Counter("disc_storage_reclaimed_bytes_total",
-				"Bytes reclaimed by retention GC, by kind.",
-				obs.Label{Key: "kind", Value: kind}).Add(bytes)
-		},
-		OnQuarantine: func(kind string) {
-			if kind == checkpoint.KindLedger {
-				c.quarantined.Inc()
-				return
-			}
-			r.Counter("disc_storage_quarantined_total",
-				"Durable-state files quarantined after failing CRC or decode verification, by kind.",
-				obs.Label{Key: "kind", Value: kind}).Inc()
-		},
-	}
-	s.Scrub(c.cfg.LedgerDir)
-	s.Sweep(c.cfg.LedgerDir)
+// StorageGC runs one scrub+sweep pass over LedgerDir now and, when
+// interval is positive, another every interval until the returned stop
+// is called: resting ledgers are re-verified (bit-rot is quarantined
+// before a recovery would trip over it) and files past StorageRetention
+// — stale ledgers, quarantined evidence, .tmp leftovers — are
+// reclaimed. An active job's ledger is rewritten at every shard
+// transition, so its mtime keeps it clear of any sane retention window.
+// The serving binary calls this at startup, after Recover.
+func (c *Coordinator) StorageGC(interval time.Duration) (stop func()) {
+	return c.store.StartGC(interval)
 }

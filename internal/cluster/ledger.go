@@ -57,12 +57,7 @@ func (c *Coordinator) openLedger(req jobs.Request, fp uint64, shards int, dbText
 	case checkpoint.Undecodable(err):
 		// Corrupt prior ledger: quarantine it so the fresh one written
 		// below takes the name, and the evidence survives for inspection.
-		if q, qerr := checkpoint.Quarantine(c.cfg.FS, jl.path); qerr == nil {
-			c.quarantined.Inc()
-			c.cfg.Logf("cluster: quarantined corrupt ledger to %s: %v", q, err)
-		} else {
-			c.cfg.Logf("cluster: cannot quarantine corrupt ledger %s: %v (read error: %v)", jl.path, qerr, err)
-		}
+		c.store.Quarantine(jl.path, err)
 	default:
 		c.cfg.Logf("cluster: ignoring unusable ledger %s: %v", jl.path, err)
 	}
@@ -123,17 +118,17 @@ func (jl *jobLedger) mutate(fn func(l *checkpoint.Ledger)) {
 
 func (jl *jobLedger) persistLocked() {
 	c := jl.c
-	if !c.durabilityAttempt() {
+	if !c.store.Attempt() {
 		return // degraded and no probe due: scheduling continues, ledger off
 	}
 	start := time.Now()
 	if _, err := jl.l.WriteFileFS(c.cfg.FS, jl.path); err != nil {
 		c.ledgerFailures.Inc()
-		c.durabilityFailed()
+		c.store.Failed(err)
 		c.cfg.Logf("cluster: ledger write failed: %v (continuing; recovery degrades to checkpoint resume)", err)
 		return
 	}
-	c.durabilityOK()
+	c.store.OK()
 	c.ledgerWrites.Inc()
 	c.ledgerDur.Observe(time.Since(start).Seconds())
 }
@@ -229,22 +224,14 @@ func (c *Coordinator) Recover(submit func(jobs.Request) (*jobs.Job, error)) int 
 	}
 	sort.Strings(matches)
 	n := 0
-	// quarantine sets aside a ledger no restart could ever use — one
-	// that does not decode, or that disagrees with its own job. Leaving
-	// it would re-log the same skip on every startup forever.
-	quarantine := func(path string, why error) {
-		if q, qerr := checkpoint.Quarantine(c.cfg.FS, path); qerr == nil {
-			c.quarantined.Inc()
-			c.cfg.Logf("cluster: quarantined unusable ledger to %s: %v", q, why)
-		} else {
-			c.cfg.Logf("cluster: cannot quarantine unusable ledger %s: %v (reason: %v)", path, qerr, why)
-		}
-	}
+	// A ledger no restart could ever use — one that does not decode, or
+	// that disagrees with its own job — is quarantined. Leaving it would
+	// re-log the same skip on every startup forever.
 	for _, path := range matches {
 		l, err := checkpoint.ReadLedgerFileFS(c.cfg.FS, path)
 		if err != nil {
 			if checkpoint.Undecodable(err) {
-				quarantine(path, err)
+				c.store.Quarantine(path, err)
 			} else {
 				c.cfg.Logf("cluster: skipping unreadable ledger %s: %v", path, err)
 			}
@@ -252,7 +239,7 @@ func (c *Coordinator) Recover(submit func(jobs.Request) (*jobs.Job, error)) int 
 		}
 		db, err := data.Read(strings.NewReader(l.DB), data.Native)
 		if err != nil {
-			quarantine(path, fmt.Errorf("database does not decode: %w", err))
+			c.store.Quarantine(path, fmt.Errorf("database does not decode: %w", err))
 			continue
 		}
 		req := jobs.Request{
@@ -260,7 +247,7 @@ func (c *Coordinator) Recover(submit func(jobs.Request) (*jobs.Job, error)) int 
 			Opts: core.Options{BiLevel: l.BiLevel, Levels: l.Levels, Gamma: l.Gamma, Workers: l.Workers},
 		}
 		if got := core.CheckpointFingerprint(req.Algo, req.Opts, req.MinSup, db); got != l.Fingerprint {
-			quarantine(path, fmt.Errorf("fingerprint %016x does not match its own job (%016x)", l.Fingerprint, got))
+			c.store.Quarantine(path, fmt.Errorf("fingerprint %016x does not match its own job (%016x)", l.Fingerprint, got))
 			continue
 		}
 		if _, err := submit(req); err != nil {

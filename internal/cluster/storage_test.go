@@ -48,10 +48,10 @@ func TestStorageGCSweepsAndScrubsLedgerDir(t *testing.T) {
 	}
 
 	c := New(Config{
-		Peers: []string{"http://127.0.0.1:1"}, // never contacted
+		Peers:     []string{"http://127.0.0.1:1"}, // never contacted
 		LedgerDir: dir, StorageRetention: 24 * time.Hour, Logf: t.Logf,
 	})
-	c.StorageGC()
+	c.StorageGC(0)()
 
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Errorf("stale ledger survived GC (stat err: %v)", err)

@@ -43,25 +43,24 @@ type boolTable struct {
 // mined result.
 type scratch struct {
 	maxItem seq.Item
-	pointer bool
 	avlRec  *avl.Recorder
 	cntRec  *counting.Recorder
 
-	arrays     []*counting.Array                     // per-depth counting arrays
-	splitTrees []avl.Interface[seq.Pattern, *member] // per-level split trees
-	disc       avl.Interface[seq.Pattern, discEntry] // the k-sorted database tree
-	flags      []boolTable                           // per-level extension flags
-	redFlags   boolTable                             // reduceMembers' dedicated pair
-	seen       []bool                                // level-0 DistinctItems bitmap
-	itemBuf    []seq.Item                            // DistinctItems output buffer
-	fi, fs     []seq.Item                            // FrequentI/FrequentS output buffers
-	membersBuf []*member                             // discLoop's mutable member copy
-	sets       []seq.Itemset                         // reduceMembers per-customer itemset headers
-	redBuf     []seq.Item                            // reduceMembers flat surviving-item storage
+	arrays     []*counting.Array                 // per-depth counting arrays
+	splitTrees []*avl.Tree[seq.Pattern, *member] // per-level split trees
+	disc       *avl.Tree[seq.Pattern, discEntry] // the k-sorted database tree
+	flags      []boolTable                       // per-level extension flags
+	redFlags   boolTable                         // reduceMembers' dedicated pair
+	seen       []bool                            // level-0 DistinctItems bitmap
+	itemBuf    []seq.Item                        // DistinctItems output buffer
+	fi, fs     []seq.Item                        // FrequentI/FrequentS output buffers
+	membersBuf []*member                         // discLoop's mutable member copy
+	sets       []seq.Itemset                     // reduceMembers per-customer itemset headers
+	redBuf     []seq.Item                        // reduceMembers flat surviving-item storage
 }
 
-func newScratch(maxItem seq.Item, pointer bool, avlRec *avl.Recorder, cntRec *counting.Recorder) *scratch {
-	return &scratch{maxItem: maxItem, pointer: pointer, avlRec: avlRec, cntRec: cntRec}
+func newScratch(maxItem seq.Item, avlRec *avl.Recorder, cntRec *counting.Recorder) *scratch {
+	return &scratch{maxItem: maxItem, avlRec: avlRec, cntRec: cntRec}
 }
 
 // array returns the reset counting array for one recursion depth.
@@ -79,13 +78,13 @@ func (s *scratch) array(depth int) *counting.Array {
 }
 
 // splitTree returns the reset split tree for one recursion level.
-func (s *scratch) splitTree(level int) avl.Interface[seq.Pattern, *member] {
+func (s *scratch) splitTree(level int) *avl.Tree[seq.Pattern, *member] {
 	for len(s.splitTrees) <= level {
 		s.splitTrees = append(s.splitTrees, nil)
 	}
 	t := s.splitTrees[level]
 	if t == nil {
-		t = newTree[*member](s.pointer, s.avlRec)
+		t = avl.New[seq.Pattern, *member](seq.Compare).Observe(s.avlRec)
 		s.splitTrees[level] = t
 	}
 	t.Reset()
@@ -93,21 +92,12 @@ func (s *scratch) splitTree(level int) avl.Interface[seq.Pattern, *member] {
 }
 
 // discTree returns the reset k-sorted database tree.
-func (s *scratch) discTree() avl.Interface[seq.Pattern, discEntry] {
+func (s *scratch) discTree() *avl.Tree[seq.Pattern, discEntry] {
 	if s.disc == nil {
-		s.disc = newTree[discEntry](s.pointer, s.avlRec)
+		s.disc = avl.New[seq.Pattern, discEntry](seq.Compare).Observe(s.avlRec)
 	}
 	s.disc.Reset()
 	return s.disc
-}
-
-// newTree builds one locative tree: the slab implementation by default,
-// the seed pointer implementation under Options.PointerTree.
-func newTree[V any](pointer bool, rec *avl.Recorder) avl.Interface[seq.Pattern, V] {
-	if pointer {
-		return avl.NewPointer[seq.Pattern, V](seq.Compare).Observe(rec)
-	}
-	return avl.New[seq.Pattern, V](seq.Compare).Observe(rec)
 }
 
 // levelFlags returns the cleared flag pair for one recursion level.
@@ -162,9 +152,9 @@ func (s *scratch) release() {
 	s.sets = s.sets[:0]
 }
 
-// MemBytes reports the bundle's total slab footprint: exact for the slab
-// trees and counting arrays, estimated for the pointer-tree fallback. The
-// budget accounting reads it at partition boundaries.
+// MemBytes reports the bundle's total slab footprint, exact for the trees
+// and counting arrays. The budget accounting reads it at partition
+// boundaries.
 func (s *scratch) MemBytes() int64 {
 	var total int64
 	for _, a := range s.arrays {
@@ -193,12 +183,10 @@ func (s *scratch) MemBytes() int64 {
 }
 
 // scratchPool shares arena bundles across the partition workers of one
-// run. All bundles of a pool share the run-wide recorders and tree
-// implementation, so a recycled bundle is indistinguishable from a fresh
-// one apart from its warm slabs.
+// run. All bundles of a pool share the run-wide recorders, so a recycled
+// bundle is indistinguishable from a fresh one apart from its warm slabs.
 type scratchPool struct {
 	maxItem seq.Item
-	pointer bool
 	avlRec  *avl.Recorder
 	cntRec  *counting.Recorder
 	p       sync.Pool
@@ -210,7 +198,7 @@ func (sp *scratchPool) get() (s *scratch, reused bool) {
 	if s, ok := sp.p.Get().(*scratch); ok {
 		return s, true
 	}
-	return newScratch(sp.maxItem, sp.pointer, sp.avlRec, sp.cntRec), false
+	return newScratch(sp.maxItem, sp.avlRec, sp.cntRec), false
 }
 
 func (sp *scratchPool) put(s *scratch) {
@@ -230,7 +218,7 @@ func (e *engine) scratch() *scratch {
 				e.stats.ArenaReuses++
 			}
 		} else {
-			e.scr = newScratch(e.maxItem, e.opts.PointerTree, e.avlRec, e.cntRec)
+			e.scr = newScratch(e.maxItem, e.avlRec, e.cntRec)
 		}
 	}
 	return e.scr

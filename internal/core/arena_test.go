@@ -13,12 +13,12 @@ import (
 )
 
 // TestArenaRaceHammer is the -race proof of the aliasing rules stated in
-// arena.go: several complete parallel runs — slab and pointer engines —
-// mine the same database concurrently, each drawing arena bundles from
-// its own run pool, and every run must reproduce the serial reference
-// result. Any sharing of scratch state across engines, any flag-table
-// write racing an eagerBuckets reader, or any bundle recycled while
-// still referenced shows up as a race report or a diverging result.
+// arena.go: several complete parallel runs mine the same database
+// concurrently, each drawing arena bundles from its own run pool, and
+// every run must reproduce the serial reference result. Any sharing of
+// scratch state across engines, any flag-table write racing an
+// eagerBuckets reader, or any bundle recycled while still referenced
+// shows up as a race report or a diverging result.
 func TestArenaRaceHammer(t *testing.T) {
 	ncust, runs := 400, 4
 	if testing.Short() {
@@ -29,7 +29,7 @@ func TestArenaRaceHammer(t *testing.T) {
 	}
 	db := testutil.SkewedRandomDB(rand.New(rand.NewSource(77)), ncust, 14, 8, 5)
 	const minSup = 4
-	ref, err := (&Miner{Opts: Options{BiLevel: true, Levels: 2}}).Mine(db, minSup)
+	ref, err := (&Miner{Opts: Options{BiLevel: true, Levels: 2, Workers: 1}}).Mine(db, minSup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +38,10 @@ func TestArenaRaceHammer(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for run := 0; run < runs; run++ {
-		pointer := run%2 == 1
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := &Miner{Opts: Options{BiLevel: true, Levels: 2, Workers: workers, PointerTree: pointer}}
+			m := &Miner{Opts: Options{BiLevel: true, Levels: 2, Workers: workers}}
 			res, err := m.Mine(db, minSup)
 			if err != nil {
 				errs <- err
@@ -78,7 +77,7 @@ func TestArenaStatsCounters(t *testing.T) {
 		ncust = 200
 	}
 	db := testutil.SkewedRandomDB(rand.New(rand.NewSource(77)), ncust, 14, 8, 5)
-	serial := &Miner{Opts: Options{BiLevel: true, Levels: 2}}
+	serial := &Miner{Opts: Options{BiLevel: true, Levels: 2, Workers: 1}}
 	if _, err := serial.Mine(db, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +106,7 @@ func TestArenaStatsCounters(t *testing.T) {
 // flag tables, distinct-items scan, frequent-extension collection — must
 // not touch the heap at all.
 func TestScratchSteadyStateAllocs(t *testing.T) {
-	s := newScratch(40, false, nil, nil)
+	s := newScratch(40, nil, nil)
 	pats := make([]seq.Pattern, 16)
 	for i := range pats {
 		pats[i] = seq.NewPattern(seq.NewItemset(seq.Item(i+1)), seq.NewItemset(seq.Item(i/2+1)))

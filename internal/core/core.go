@@ -121,14 +121,6 @@ type Options struct {
 	// when it finishes — /metrics and LastStats read the same numbers.
 	// It does not influence the mined result or the checkpoint identity.
 	Obs *obs.Observer
-
-	// PointerTree forces the engine onto the seed pointer-per-node AVL
-	// implementation instead of the default slab tree. It exists for the
-	// differential harness (the two implementations must produce
-	// byte-identical results across the full grid) and costs one extra
-	// allocation per tree node; production runs leave it false. Scheduled
-	// for removal together with avl.Pointer.
-	PointerTree bool
 }
 
 // WithExec copies the execution-layer settings of x into the options.
@@ -368,7 +360,7 @@ func (e *engine) run(ctx context.Context, db mining.Database, minSup int) (*mini
 	if workers > 1 {
 		e.sched = newScheduler(workers)
 		e.sched.degraded = e.budget
-		e.pool = &scratchPool{maxItem: e.maxItem, pointer: e.opts.PointerTree, avlRec: e.avlRec, cntRec: e.cntRec}
+		e.pool = &scratchPool{maxItem: e.maxItem, avlRec: e.avlRec, cntRec: e.cntRec}
 	}
 	members := make([]*member, len(db))
 	for i, cs := range db {

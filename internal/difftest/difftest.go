@@ -84,21 +84,6 @@ func Variants() []Variant {
 			})
 		}
 	}
-	// The slab-vs-pointer tree axis: the engine on the seed pointer-per-node
-	// AVL must agree byte-for-byte with the default slab tree under both the
-	// static and dynamic algorithms, serially and parallel.
-	for _, w := range workers {
-		ptrStatic := core.Options{BiLevel: true, Levels: 2, Workers: w, PointerTree: true}
-		vs = append(vs, Variant{
-			Name: fmt.Sprintf("disc-all[pointer-tree,workers=%d]", w),
-			New:  func() mining.Miner { return &core.Miner{Opts: ptrStatic} },
-		})
-		ptrDyn := core.Options{BiLevel: true, Gamma: 0.5, Workers: w, PointerTree: true}
-		vs = append(vs, Variant{
-			Name: fmt.Sprintf("dynamic-disc-all[pointer-tree,workers=%d]", w),
-			New:  func() mining.Miner { return &core.Dynamic{Opts: ptrDyn} },
-		})
-	}
 	vs = append(vs, Variant{
 		Name: "gsp[nohashtree]",
 		New:  func() mining.Miner { return gsp.Miner{NoHashTree: true} },

@@ -48,13 +48,6 @@ func resilienceConfigs() []resilienceConfig {
 				name: fmt.Sprintf("dynamic-disc-all[workers=%d]", w),
 				opts: core.Options{BiLevel: true, Gamma: 0.5, Workers: w},
 				mk:   func(o core.Options) mining.ContextMiner { return &core.Dynamic{Opts: o} },
-			},
-			// The seed pointer-tree engine must survive the same fault and
-			// resume grids, byte-identical to the slab default.
-			resilienceConfig{
-				name: fmt.Sprintf("disc-all[pointer-tree,workers=%d]", w),
-				opts: core.Options{BiLevel: true, Levels: 2, Workers: w, PointerTree: true},
-				mk:   func(o core.Options) mining.ContextMiner { return &core.Miner{Opts: o} },
 			})
 	}
 	return cfgs

@@ -123,12 +123,6 @@ func (c Config) withDefaults() Config {
 	if c.FS == nil {
 		c.FS = checkpoint.OS
 	}
-	if c.DegradeAfter == 0 {
-		c.DegradeAfter = 3
-	}
-	if c.DurabilityProbe <= 0 {
-		c.DurabilityProbe = 15 * time.Second
-	}
 	return c
 }
 
@@ -176,35 +170,25 @@ type Manager struct {
 	// and /metrics both read them, so the two views cannot disagree.
 	// The counters are pre-created here so hot paths (Submit under
 	// m.mu) touch only atomics, never the registry lock.
-	obs       *obs.Observer
-	ids       *obs.IDSource // trace/span ID minting for every job trace
-	submitted *obs.Counter
-	deduped   *obs.Counter
-	cacheHits *obs.Counter
-	shed      *obs.Counter
-	drained   *obs.Counter
-	executed  *obs.Counter
+	obs          *obs.Observer
+	ids          *obs.IDSource // trace/span ID minting for every job trace
+	submitted    *obs.Counter
+	deduped      *obs.Counter
+	cacheHits    *obs.Counter
+	shed         *obs.Counter
+	drained      *obs.Counter
+	executed     *obs.Counter
 	resumed      *obs.Counter
 	finished     map[State]*obs.Counter
 	jobDur       map[State]*obs.Histogram
 	ckptDur      *obs.Histogram
 	ckptBytes    *obs.Histogram
 	ckptFailures *obs.Counter
-	quarantined  *obs.Counter // disc_storage_quarantined_total{kind="checkpoint"}
 
-	// Durability state: consecutive checkpoint write failures and the
-	// degraded-durability latch. dmu is a leaf lock — never held while
-	// calling into the registry or taking m.mu — because the
-	// disc_storage_degraded gauge reads it at render time.
-	dmu         sync.Mutex
-	consecFails int
-	degraded    bool
-	lastProbe   time.Time
-	lastErr     error
-	lastErrAt   time.Time
-
-	gcStop chan struct{} // closed by Drain; ends the periodic storage GC
-	gcDone chan struct{}
+	// store is the checkpoint directory's durable-state plane: the
+	// degraded-durability latch, quarantine, and retention GC.
+	store  *checkpoint.Durability
+	stopGC func() // called by Drain; ends the periodic storage GC
 
 	// mine runs one job; replaced by lifecycle tests to control timing.
 	mine func(ctx context.Context, j *Job, cp *core.Checkpointer) (*mining.Result, error)
@@ -234,84 +218,26 @@ func NewManager(cfg Config) *Manager {
 	for i := 0; i < cfg.Workers; i++ {
 		go m.worker()
 	}
-	m.startupStorage()
+	// The startup pass scrubs bit-rot from the previous process's
+	// lifetime and reclaims files past retention, so a restart never
+	// trips over last month's garbage.
+	m.stopGC = m.store.StartGC(cfg.StorageGCInterval)
 	m.reportOrphans()
 	return m
 }
 
-// sweeper builds the retention sweeper over CheckpointDir, wired to the
-// manager's log, metrics and live-job protection.
-func (m *Manager) sweeper() *checkpoint.Sweeper {
-	r := m.obs.Registry
-	return &checkpoint.Sweeper{
-		FS:             m.cfg.FS,
-		Retention:      m.cfg.StorageRetention,
-		MaxQuarantined: maxQuarantined,
-		Keep: func(path string) bool {
-			// Never reclaim the checkpoint of a job still queued or
-			// running — it is the job's crash-survival state.
-			if !strings.HasSuffix(path, ".ckpt") {
-				return false
-			}
-			id := strings.TrimSuffix(filepath.Base(path), ".ckpt")
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			j, ok := m.jobs[id]
-			return ok && !j.State().Terminal()
-		},
-		Logf: m.logf,
-		OnReclaim: func(kind string, files int, bytes int64) {
-			r.Counter("disc_storage_reclaimed_files_total",
-				"Durable-state files reclaimed by retention GC, by kind.",
-				obs.Label{Key: "kind", Value: kind}).Add(int64(files))
-			r.Counter("disc_storage_reclaimed_bytes_total",
-				"Bytes reclaimed by retention GC, by kind.",
-				obs.Label{Key: "kind", Value: kind}).Add(bytes)
-		},
-		OnQuarantine: func(kind string) {
-			r.Counter("disc_storage_quarantined_total",
-				"Durable-state files quarantined after failing CRC or decode verification, by kind.",
-				obs.Label{Key: "kind", Value: kind}).Inc()
-		},
+// liveCheckpoint reports whether path is the checkpoint of a job still
+// queued or running — its crash-survival state, which GC never
+// reclaims.
+func (m *Manager) liveCheckpoint(path string) bool {
+	if !strings.HasSuffix(path, ".ckpt") {
+		return false
 	}
-}
-
-// maxQuarantined caps *.corrupt files kept per directory: enough to
-// diagnose a corruption episode, bounded so a flapping disk cannot fill
-// the volume with evidence.
-const maxQuarantined = 32
-
-// startupStorage runs the scrub+sweep pass over CheckpointDir and, when
-// configured, starts the periodic GC loop. The scrub quarantines any
-// checkpoint that no longer decodes — startup is when bit-rot from the
-// previous process's lifetime surfaces — and the sweep reclaims files
-// past retention, so a restart never trips over last month's garbage.
-func (m *Manager) startupStorage() {
-	if m.cfg.CheckpointDir == "" {
-		return
-	}
-	s := m.sweeper()
-	s.Scrub(m.cfg.CheckpointDir)
-	s.Sweep(m.cfg.CheckpointDir)
-	if m.cfg.StorageGCInterval <= 0 {
-		return
-	}
-	m.gcStop = make(chan struct{})
-	m.gcDone = make(chan struct{})
-	go func() {
-		defer close(m.gcDone)
-		tick := time.NewTicker(m.cfg.StorageGCInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				s.Scrub(m.cfg.CheckpointDir)
-				s.Sweep(m.cfg.CheckpointDir)
-			case <-m.gcStop:
-				return
-			}
-		}
-	}()
+	id := strings.TrimSuffix(filepath.Base(path), ".ckpt")
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
+	return ok && !j.State().Terminal()
 }
 
 // reportOrphans logs the checkpoints a previous process left behind.
@@ -365,17 +291,10 @@ func (m *Manager) initObs(o *obs.Observer) {
 		"Size of one checkpoint snapshot.", obs.SizeBuckets)
 	m.ckptFailures = r.Counter("disc_jobs_checkpoint_failures_total",
 		"Checkpoint snapshot writes that failed (disk full, torn write, sync error).")
-	m.quarantined = r.Counter("disc_storage_quarantined_total",
-		"Durable-state files quarantined after failing CRC or decode verification, by kind.",
-		obs.Label{Key: "kind", Value: checkpoint.KindCheckpoint})
-	r.GaugeFunc("disc_storage_degraded",
-		"1 while durability is degraded (checkpoint writes suspended after repeated failures), by component.",
-		func() float64 {
-			if m.Durability().Degraded {
-				return 1
-			}
-			return 0
-		}, obs.Label{Key: "component", Value: "jobs"})
+	m.store = checkpoint.NewDurability("jobs", checkpoint.KindCheckpoint, m.cfg.CheckpointDir,
+		checkpoint.Policy{FS: m.cfg.FS, DegradeAfter: m.cfg.DegradeAfter, Probe: m.cfg.DurabilityProbe,
+			Retention: m.cfg.StorageRetention, Keep: m.liveCheckpoint},
+		m.cfg.Logf, r)
 	// Live state reads through at render time: the gauges evaluate the
 	// queue and job table when scraped, so they can never go stale.
 	r.GaugeFunc("disc_jobs_queue_depth", "Jobs waiting in the admission queue.",
@@ -618,10 +537,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 	m.draining = true
 	m.notEmpty.Broadcast() // wake idle workers so they can exit
 	m.mu.Unlock()
-	if m.gcStop != nil {
-		close(m.gcStop)
-		<-m.gcDone
-	}
+	m.stopGC()
 
 	done := make(chan struct{})
 	go func() {
@@ -821,12 +737,7 @@ func (m *Manager) checkpointFor(j *Job) (*core.Checkpointer, string) {
 		// Corrupt or torn: the CRC caught it. Quarantine the file so the
 		// evidence survives and the job mines from scratch — crashing, or
 		// tripping over the same file every restart, helps nobody.
-		if q, qerr := checkpoint.Quarantine(m.cfg.FS, path); qerr == nil {
-			m.quarantined.Inc()
-			m.logf("jobs: %s quarantined corrupt checkpoint to %s: %v", j.id, q, err)
-		} else {
-			m.logf("jobs: %s cannot quarantine corrupt checkpoint at %s: %v (read error: %v)", j.id, path, qerr, err)
-		}
+		m.store.Quarantine(path, err)
 	case !errors.Is(err, os.ErrNotExist):
 		m.logf("jobs: %s ignoring unreadable checkpoint at %s: %v", j.id, path, err)
 	}
@@ -869,7 +780,7 @@ func (m *Manager) writeCheckpoint(j *Job, cp *core.Checkpointer, path string) {
 	if cp == nil || path == "" {
 		return
 	}
-	if !m.durabilityAttempt() {
+	if !m.store.Attempt() {
 		return // degraded and no probe due: mining continues, durability off
 	}
 	start := time.Now()
@@ -878,68 +789,18 @@ func (m *Manager) writeCheckpoint(j *Job, cp *core.Checkpointer, path string) {
 		m.ckptFailures.Inc()
 		j.trace.Event("checkpoint-failed", j.rootSpanID(),
 			map[string]string{"error": err.Error()})
-		if m.durabilityFailed(err) {
+		if m.store.Failed(err) {
 			j.trace.Event("degrade-latch", j.rootSpanID(),
 				map[string]string{"error": err.Error()})
 		}
 		m.logf("jobs: %s checkpoint write failed: %v", j.id, err)
 		return
 	}
-	m.durabilityOK()
+	m.store.OK()
 	m.ckptDur.Observe(time.Since(start).Seconds())
 	m.ckptBytes.Observe(float64(n))
 	j.trace.Event("checkpoint-write", j.rootSpanID(),
 		map[string]string{"bytes": fmt.Sprint(n)})
-}
-
-// durabilityAttempt reports whether a checkpoint write should be tried
-// now. Healthy managers always write; a degraded one writes only the
-// periodic probe that tests whether the disk recovered.
-func (m *Manager) durabilityAttempt() bool {
-	m.dmu.Lock()
-	defer m.dmu.Unlock()
-	if !m.degraded {
-		return true
-	}
-	if time.Since(m.lastProbe) < m.cfg.DurabilityProbe {
-		return false
-	}
-	m.lastProbe = time.Now()
-	return true
-}
-
-// durabilityFailed records one failed checkpoint write and latches
-// degraded-durability mode after DegradeAfter consecutive failures,
-// reporting whether this call tripped the latch.
-func (m *Manager) durabilityFailed(err error) bool {
-	m.dmu.Lock()
-	m.consecFails++
-	m.lastErr = err
-	m.lastErrAt = time.Now()
-	trip := !m.degraded && m.cfg.DegradeAfter > 0 && m.consecFails >= m.cfg.DegradeAfter
-	if trip {
-		m.degraded = true
-		m.lastProbe = time.Now()
-	}
-	n := m.consecFails
-	m.dmu.Unlock()
-	if trip {
-		m.logf("jobs: durability degraded after %d consecutive checkpoint write failures; mining continues, probing every %s", n, m.cfg.DurabilityProbe)
-	}
-	return trip
-}
-
-// durabilityOK records one successful checkpoint write, re-arming
-// durability if it was degraded.
-func (m *Manager) durabilityOK() {
-	m.dmu.Lock()
-	rearmed := m.degraded
-	m.degraded = false
-	m.consecFails = 0
-	m.dmu.Unlock()
-	if rearmed {
-		m.logf("jobs: durability re-armed, checkpoint writes succeeding again")
-	}
 }
 
 // DurabilityStatus is the durability view /healthz serves: whether
@@ -954,16 +815,15 @@ type DurabilityStatus struct {
 
 // Durability snapshots the manager's durability state.
 func (m *Manager) Durability() DurabilityStatus {
-	m.dmu.Lock()
-	defer m.dmu.Unlock()
+	l := m.store.State()
 	s := DurabilityStatus{
-		Degraded:            m.degraded,
-		ConsecutiveFailures: m.consecFails,
+		Degraded:            l.Degraded,
+		ConsecutiveFailures: l.ConsecutiveFailures,
 		CheckpointFailures:  m.ckptFailures.Value(),
-		LastErrorAt:         m.lastErrAt,
+		LastErrorAt:         l.LastErrorAt,
 	}
-	if m.lastErr != nil {
-		s.LastError = m.lastErr.Error()
+	if l.LastError != nil {
+		s.LastError = l.LastError.Error()
 	}
 	return s
 }
