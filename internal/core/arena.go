@@ -1,26 +1,26 @@
 // Round arenas of the DISC-all engine. Every per-round and per-partition
 // scratch structure — counting arrays, split trees, the k-sorted database
-// tree, extension flag tables, k-minimum buffers — lives in one scratch
+// tree, extension index tables, k-minimum buffers — lives in one scratch
 // bundle owned by an engine. A serial run keeps one bundle for its whole
 // lifetime; a parallel run draws bundles from a sync.Pool shared by the
 // engine tree, so live scratch memory stays proportional to workers ×
 // depth while steady-state rounds allocate nothing: trees reset by slab
-// rewind, counting arrays by epoch stamping, flag tables by memclr, item
+// rewind, counting arrays by epoch stamping, index tables by memclr, item
 // buffers by re-slicing to length zero.
 //
 // Aliasing rules (all proven by the -race hammer in arena_test.go):
 //
 //   - A bundle belongs to exactly one engine at a time; engines of a
 //     parallel run never share one (children draw their own).
-//   - Split trees and flag tables are per recursion level: the split at
-//     level L holds its tree and flags across the deeper recursion, which
+//   - Split trees and index tables are per recursion level: the split at
+//     level L holds its tree and table across the deeper recursion, which
 //     only touches level L+1 structures. reduceMembers gets a dedicated
-//     flag pair because it runs at level 1 while the level-0 split's
-//     flags are live and before the level-1 split fills its own.
+//     table because it runs at level 1 while the level-0 split's table is
+//     live and before the level-1 split fills its own.
 //   - One DISC tree suffices per bundle: discLoop is a leaf of the
 //     partition recursion (discover never re-enters processPartition).
-//   - eagerBuckets chunk goroutines read the submitting engine's flag
-//     tables concurrently but strictly read-only, bounded by the wg.Wait
+//   - eagerBuckets chunk goroutines read the submitting engine's index
+//     table concurrently but strictly read-only, bounded by the wg.Wait
 //     in the same call.
 package core
 
@@ -32,10 +32,34 @@ import (
 	"github.com/disc-mining/disc/internal/seq"
 )
 
-// boolTable is a pair of per-item flag tables (i-form / s-form), the
-// lookup structure minFreqExtension reads.
-type boolTable struct {
-	freqI, freqS []bool
+// indexTable locates the frequent extensions of one prefix key in their
+// ascending list, per item: i[x] for the i-form (x joins key's last
+// itemset), s[x] for the s-form, each holding the pair's position in the
+// list plus one, or 0 when the pair is not frequent. minFreqExtension and
+// reduceMembers read the entries as flags, eagerBuckets as bucket indices.
+type indexTable struct {
+	i, s []int32
+}
+
+// fill clears the table, growing it to maxItem on first use, and indexes
+// list: the ascending frequent extensions of a key whose last itemset has
+// transaction number n (0 for the empty key).
+func (t *indexTable) fill(maxItem seq.Item, n int32, list []seq.Pattern) indexTable {
+	if len(t.i) < int(maxItem)+1 {
+		t.i = make([]int32, maxItem+1)
+		t.s = make([]int32, maxItem+1)
+	} else {
+		clear(t.i)
+		clear(t.s)
+	}
+	for k, p := range list {
+		if p.LastTNo() == n {
+			t.i[p.LastItem()] = int32(k + 1)
+		} else {
+			t.s[p.LastItem()] = int32(k + 1)
+		}
+	}
+	return *t
 }
 
 // scratch is one engine's arena bundle. All fields are lazily grown and
@@ -49,8 +73,8 @@ type scratch struct {
 	arrays     []*counting.Array                 // per-depth counting arrays
 	splitTrees []*avl.Tree[seq.Pattern, *member] // per-level split trees
 	disc       *avl.Tree[seq.Pattern, discEntry] // the k-sorted database tree
-	flags      []boolTable                       // per-level extension flags
-	redFlags   boolTable                         // reduceMembers' dedicated pair
+	tables     []indexTable                      // per-level extension index tables
+	redTable   indexTable                        // reduceMembers' dedicated table
 	seen       []bool                            // level-0 DistinctItems bitmap
 	itemBuf    []seq.Item                        // DistinctItems output buffer
 	fi, fs     []seq.Item                        // FrequentI/FrequentS output buffers
@@ -100,28 +124,21 @@ func (s *scratch) discTree() *avl.Tree[seq.Pattern, discEntry] {
 	return s.disc
 }
 
-// levelFlags returns the cleared flag pair for one recursion level.
-func (s *scratch) levelFlags(level int) (freqI, freqS []bool) {
-	for len(s.flags) <= level {
-		s.flags = append(s.flags, boolTable{})
+// levelTable indexes the frequent extension list of a key at one
+// recursion level (n is the key's LastTNoOrZero) in that level's table.
+// The split at this level holds the table across its deeper recursion,
+// which only touches higher-level tables.
+func (s *scratch) levelTable(level int, n int32, list []seq.Pattern) indexTable {
+	for len(s.tables) <= level {
+		s.tables = append(s.tables, indexTable{})
 	}
-	return s.flags[level].cleared(s.maxItem)
+	return s.tables[level].fill(s.maxItem, n, list)
 }
 
-// reduceFlags returns the cleared flag pair reserved for reduceMembers.
-func (s *scratch) reduceFlags() (freqI, freqS []bool) {
-	return s.redFlags.cleared(s.maxItem)
-}
-
-func (t *boolTable) cleared(maxItem seq.Item) (freqI, freqS []bool) {
-	if len(t.freqI) < int(maxItem)+1 {
-		t.freqI = make([]bool, maxItem+1)
-		t.freqS = make([]bool, maxItem+1)
-	} else {
-		clear(t.freqI)
-		clear(t.freqS)
-	}
-	return t.freqI, t.freqS
+// reduceTable indexes the frequent 2-sequences of a first-level partition
+// in the table reserved for reduceMembers.
+func (s *scratch) reduceTable(list2 []seq.Pattern) indexTable {
+	return s.redTable.fill(s.maxItem, 1, list2)
 }
 
 // seenBitmap returns the cleared level-0 distinct-items bitmap.
@@ -170,12 +187,11 @@ func (s *scratch) MemBytes() int64 {
 	if s.disc != nil {
 		total += s.disc.MemBytes()
 	}
-	perFlag := int64(len(s.seen))
-	for _, f := range s.flags {
-		perFlag += int64(cap(f.freqI) + cap(f.freqS))
+	total += int64(len(s.seen))
+	for _, t := range s.tables {
+		total += int64(cap(t.i)+cap(t.s)) * 4
 	}
-	perFlag += int64(cap(s.redFlags.freqI) + cap(s.redFlags.freqS))
-	total += perFlag
+	total += int64(cap(s.redTable.i)+cap(s.redTable.s)) * 4
 	total += int64(cap(s.itemBuf)+cap(s.fi)+cap(s.fs)+cap(s.redBuf)) * 4
 	total += int64(cap(s.membersBuf)) * 8
 	total += int64(cap(s.sets)) * 24

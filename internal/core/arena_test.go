@@ -103,7 +103,7 @@ func TestArenaStatsCounters(t *testing.T) {
 // TestScratchSteadyStateAllocs is the regression guard for per-round
 // slice churn: once a bundle has served one partition of a given shape,
 // serving the same shape again — counting array, split tree, DISC tree,
-// flag tables, distinct-items scan, frequent-extension collection — must
+// index tables, distinct-items scan, frequent-extension collection — must
 // not touch the heap at all.
 func TestScratchSteadyStateAllocs(t *testing.T) {
 	s := newScratch(40, nil, nil)
@@ -119,15 +119,8 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 		}
 		s.fi = arr.FrequentI(2, s.fi[:0])
 		s.fs = arr.FrequentS(2, s.fs[:0])
-		freqI, freqS := s.levelFlags(1)
-		for _, it := range s.fi {
-			freqI[it] = true
-		}
-		for _, it := range s.fs {
-			freqS[it] = true
-		}
-		rI, rS := s.reduceFlags()
-		rI[3], rS[5] = true, true
+		_ = s.levelTable(1, 1, pats)
+		_ = s.reduceTable(pats)
 		_ = s.seenBitmap()
 		tree := s.splitTree(1)
 		for _, p := range pats {

@@ -541,13 +541,13 @@ func (e *engine) processPartition(key seq.Pattern, members []*member, level int)
 // customers to their next minimal contained extension after each partition
 // finishes (Steps 2.2 and 2.1.3.3 of Figure 2).
 func (e *engine) split(key seq.Pattern, members []*member, list []seq.Pattern, level int) error {
-	freqI, freqS := e.extensionFlags(key, list, level)
+	tab := e.scratch().levelTable(level, key.LastTNoOrZero(), list)
 	if level == 0 && e.prog != nil {
 		e.prog.begin(len(list))
 	}
 	tree := e.scratch().splitTree(level)
 	for _, mb := range members {
-		if x, no, ok := minFreqExtension(mb.cs, key, freqI, freqS, 0, 0, false); ok {
+		if x, no, ok := minFreqExtension(mb.cs, key, tab, 0, 0, false); ok {
 			tree.Insert(key.Extend(x, no), mb)
 		}
 	}
@@ -569,7 +569,7 @@ func (e *engine) split(key seq.Pattern, members []*member, list []seq.Pattern, l
 		}
 		bx, bno := pkey.LastItem(), pkey.LastTNo()
 		for _, mb := range bucket {
-			if x, no, ok := minFreqExtension(mb.cs, key, freqI, freqS, bx, bno, true); ok {
+			if x, no, ok := minFreqExtension(mb.cs, key, tab, bx, bno, true); ok {
 				tree.Insert(key.Extend(x, no), mb)
 			}
 		}
@@ -577,30 +577,12 @@ func (e *engine) split(key seq.Pattern, members []*member, list []seq.Pattern, l
 	return nil
 }
 
-// extensionFlags spreads the frequent extension list of key into the
-// per-item lookup tables consumed by minFreqExtension: freqI flags items
-// whose i-form (growing key's last itemset) is frequent, freqS the s-form.
-// The tables come from the arena's per-level pair — the split at this
-// level holds them across its deeper recursion, which only touches
-// higher-level pairs.
-func (e *engine) extensionFlags(key seq.Pattern, list []seq.Pattern, level int) (freqI, freqS []bool) {
-	freqI, freqS = e.scratch().levelFlags(level)
-	for _, p := range list {
-		if p.LastTNo() == key.LastTNoOrZero() {
-			freqI[p.LastItem()] = true
-		} else {
-			freqS[p.LastItem()] = true
-		}
-	}
-	return freqI, freqS
-}
-
 // minFreqExtension returns the minimal frequent extension pair (x, no) of
 // key contained in cs, restricted to pairs greater than (boundX, boundNo)
 // when strict (or at least it otherwise); boundX == 0 accepts everything.
-// Frequency of a pair is read from freqI/freqS (indexed by item, selected
-// by whether the pair grows key's last itemset).
-func minFreqExtension(cs *seq.CustomerSeq, key seq.Pattern, freqI, freqS []bool, boundX seq.Item, boundNo int32, strict bool) (seq.Item, int32, bool) {
+// Frequency of a pair is read from key's index table: a non-zero entry in
+// tab.i (the pair grows key's last itemset) or tab.s (it opens a new one).
+func minFreqExtension(cs *seq.CustomerSeq, key seq.Pattern, tab indexTable, boundX seq.Item, boundNo int32, strict bool) (seq.Item, int32, bool) {
 	var bestX seq.Item
 	var bestNo int32
 	have := false
@@ -617,7 +599,7 @@ func minFreqExtension(cs *seq.CustomerSeq, key seq.Pattern, freqI, freqS []bool,
 	}
 	if key.IsEmpty() {
 		for _, x := range cs.Items() {
-			if freqS[x] {
+			if tab.s[x] != 0 {
 				consider(x, 1)
 			}
 		}
@@ -626,12 +608,12 @@ func minFreqExtension(cs *seq.CustomerSeq, key seq.Pattern, freqI, freqS []bool,
 	n := key.LastTNo()
 	kmin.EnumExtensions(cs, key,
 		func(x seq.Item) {
-			if freqI[x] {
+			if tab.i[x] != 0 {
 				consider(x, n)
 			}
 		},
 		func(x seq.Item) {
-			if freqS[x] {
+			if tab.s[x] != 0 {
 				consider(x, n+1)
 			}
 		})
@@ -702,17 +684,10 @@ func mergeExtensions(key seq.Pattern, arr *counting.Array, fi, fs []seq.Item) ([
 // reports that as an error rather than crashing from a worker goroutine.
 func (e *engine) reduceMembers(lambda seq.Item, members []*member, list2 []seq.Pattern) ([]*member, error) {
 	s := e.scratch()
-	// reduceMembers runs at level 1 while the level-0 split's flag tables
-	// are live, so it uses the arena's dedicated pair.
-	freqI, freqS := s.reduceFlags()
-	for _, p := range list2 {
-		x := p.LastItem()
-		if p.NumItemsets() == 1 {
-			freqI[x] = true
-		} else {
-			freqS[x] = true
-		}
-	}
+	// reduceMembers runs at level 1 while the level-0 split's index table
+	// is live, so it uses the arena's dedicated one. A non-zero entry
+	// marks a frequent 2-sequence <(λ x)> (tab.i) or <(λ)(x)> (tab.s).
+	tab := s.reduceTable(list2)
 	// The caller's slice is left untouched: the parent split still walks it
 	// (with the original, unreduced sequences) for reassignment. The
 	// reduced sequences escape into deeper partitions, so out is a fresh
@@ -758,13 +733,13 @@ func (e *engine) reduceMembers(lambda seq.Item, members []*member, list2 []seq.P
 					// Condition 1 holds (the minimum point's transaction
 					// contains λ), condition 2 does not: x survives only
 					// through the itemset form, which also requires x > λ.
-					keep = x > lambda && freqI[x]
+					keep = x > lambda && tab.i[x] != 0
 				case hasLambda:
 					// Both conditions hold: either form keeps x alive.
-					keep = freqS[x] || (x > lambda && freqI[x])
+					keep = tab.s[x] != 0 || (x > lambda && tab.i[x] != 0)
 				default:
 					// Condition 1 fails: only the sequence form applies.
-					keep = freqS[x]
+					keep = tab.s[x] != 0
 				}
 				if keep {
 					buf = append(buf, x)

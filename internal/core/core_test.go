@@ -252,10 +252,12 @@ func TestReduceMembersTable7(t *testing.T) {
 func TestPartitionAssignmentExample31(t *testing.T) {
 	db := testutil.Table6()
 	// Frequent items at δ=3: everything but d (support 2).
-	freqS := make([]bool, 9)
+	var list []seq.Pattern
 	for _, x := range []seq.Item{1, 2, 3, 5, 6, 7, 8} {
-		freqS[x] = true
+		list = append(list, seq.NewPattern(seq.NewItemset(x)))
 	}
+	var table indexTable
+	tab := table.fill(8, 0, list)
 	wantInitial := map[int]seq.Item{
 		1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, // <(a)>-partition
 		8: 2, 10: 2, // <(b)>-partition
@@ -263,7 +265,7 @@ func TestPartitionAssignmentExample31(t *testing.T) {
 		11: 5, // <(e)>-partition
 	}
 	for _, cs := range db {
-		x, no, ok := minFreqExtension(cs, seq.Pattern{}, nil, freqS, 0, 0, false)
+		x, no, ok := minFreqExtension(cs, seq.Pattern{}, tab, 0, 0, false)
 		if !ok || no != 1 || x != wantInitial[cs.CID] {
 			t.Errorf("CID %d initial partition = item %d (%v), want %d", cs.CID, x, ok, wantInitial[cs.CID])
 		}
@@ -279,7 +281,7 @@ func TestPartitionAssignmentExample31(t *testing.T) {
 		7: 2,
 	}
 	for _, cs := range db[:7] {
-		x, _, ok := minFreqExtension(cs, seq.Pattern{}, nil, freqS, 1, 1, true)
+		x, _, ok := minFreqExtension(cs, seq.Pattern{}, tab, 1, 1, true)
 		if !ok || x != wantNext[cs.CID] {
 			t.Errorf("CID %d next partition = item %d (%v), want %d", cs.CID, x, ok, wantNext[cs.CID])
 		}

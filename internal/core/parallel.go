@@ -18,10 +18,10 @@
 package core
 
 import (
-	"sort"
 	"sync"
 
 	"github.com/disc-mining/disc/internal/checkpoint"
+	"github.com/disc-mining/disc/internal/kmin"
 	"github.com/disc-mining/disc/internal/mining"
 	"github.com/disc-mining/disc/internal/seq"
 )
@@ -158,9 +158,10 @@ func (p *progressTracker) finish() {
 // byte-identical to a straight run's.
 //
 // Worker closures run under mining.Contain: a panic inside a partition
-// (e.g. the findExtension invariant) surfaces as that partition's error
-// — the run drains cleanly and Mine returns an *mining.InvariantError —
-// instead of killing the process from a goroutine no caller can recover.
+// (an injected fault or a violated invariant) surfaces as that
+// partition's error — the run drains cleanly and Mine returns an
+// *mining.InvariantError — instead of killing the process from a
+// goroutine no caller can recover.
 func (e *engine) splitParallel(key seq.Pattern, members []*member, list []seq.Pattern, level int) error {
 	buckets, err := e.eagerBuckets(key, members, list, level)
 	if err != nil {
@@ -247,28 +248,44 @@ func (e *engine) splitParallel(key seq.Pattern, members []*member, list []seq.Pa
 // eagerBuckets assigns every member to the bucket of each frequent
 // extension of key it contains — the transitive closure of Figure 2's
 // reassignment walk, computed upfront so the partitions can be scheduled
-// concurrently. Bucket i collects the members containing list[i] in member
+// concurrently. One extension scan per member finds them all: key's index
+// table turns each contained frequent extension into its bucket, and a
+// member already appended to that bucket by the same scan is not appended
+// again. Bucket i thus collects the members containing list[i] in member
 // order, making each scheduled partition's input (and hence the merged
 // output) independent of scheduling order. The closure walk is itself
 // chunked across the pool; chunk results are concatenated in member
-// order. Chunk goroutines run under mining.Contain — the findExtension
-// invariant panic comes back as an error, never as a process crash.
-// eagerBuckets' chunk goroutines read the submitting engine's arena flag
-// tables concurrently but strictly read-only, and all of them finish
-// (wg.Wait) before anything writes those tables again.
+// order. Chunk goroutines run under mining.Contain, so a panic in a scan
+// comes back as an error, never as a process crash. They read the
+// submitting engine's index table concurrently but strictly read-only,
+// and all of them finish (wg.Wait) before anything writes that table
+// again.
 func (e *engine) eagerBuckets(key seq.Pattern, members []*member, list []seq.Pattern, level int) ([][]*member, error) {
 	if e.obs != nil {
 		defer e.obs.SpanUnder(e.cur, "eager_buckets").End()
 	}
-	freqI, freqS := e.extensionFlags(key, list, level)
+	tab := e.scratch().levelTable(level, key.LastTNoOrZero(), list)
 	assign := func(members []*member, buckets [][]*member) {
-		for _, mb := range members {
-			x, no, ok := minFreqExtension(mb.cs, key, freqI, freqS, 0, 0, false)
-			for ok {
-				i := findExtension(list, x, no)
-				buckets[i] = append(buckets[i], mb)
-				x, no, ok = minFreqExtension(mb.cs, key, freqI, freqS, x, no, true)
+		var mb *member
+		add := func(idx int32) {
+			if idx == 0 {
+				return
 			}
+			b := buckets[idx-1]
+			if len(b) == 0 || b[len(b)-1] != mb {
+				buckets[idx-1] = append(b, mb)
+			}
+		}
+		onI := func(x seq.Item) { add(tab.i[x]) }
+		onS := func(x seq.Item) { add(tab.s[x]) }
+		for _, mb = range members {
+			if key.IsEmpty() {
+				for _, x := range mb.cs.Items() {
+					onS(x)
+				}
+				continue
+			}
+			kmin.EnumExtensions(mb.cs, key, onI, onS)
 		}
 	}
 	const chunkMin = 256 // below this, chunking overhead beats the win
@@ -316,24 +333,4 @@ func (e *engine) eagerBuckets(key seq.Pattern, members []*member, list []seq.Pat
 		}
 	}
 	return buckets, nil
-}
-
-// findExtension locates the extension pair (x, no) in the ascending
-// frequent extension list. All entries share the same prefix, so the
-// comparative order reduces to ComparePair on the last pair.
-//
-// A pair outside the list violates the closure invariant the scheduler
-// is built on — a bug, reported by panicking. The panic is contained by
-// the mining.Contain wrapper every execution path runs under (worker
-// closures and the root walk), so it surfaces from Mine as an
-// *mining.InvariantError carrying this message and the stack instead of
-// crashing the process from a worker goroutine.
-func findExtension(list []seq.Pattern, x seq.Item, no int32) int {
-	i := sort.Search(len(list), func(i int) bool {
-		return seq.ComparePair(list[i].LastItem(), list[i].LastTNo(), x, no) >= 0
-	})
-	if i == len(list) || list[i].LastItem() != x || list[i].LastTNo() != no {
-		panic("core: extension chain produced a pair outside the frequent list")
-	}
-	return i
 }

@@ -215,13 +215,43 @@ func TestProgressEvents(t *testing.T) {
 
 // TestEagerBucketsMatchLazySplit pins the closure property the scheduler
 // relies on: eager bucket i holds exactly the members containing list[i],
-// which is what the lazy reassignment walk eventually delivers.
+// in member order, which is what the lazy reassignment walk eventually
+// delivers. It covers the level-0 split and a level-1 split over reduced
+// members, both inline (small partitions, no scheduler) and chunked
+// across a scheduler (at least 256 members).
 func TestEagerBucketsMatchLazySplit(t *testing.T) {
 	r := rand.New(rand.NewSource(74))
-	for i := 0; i < 20; i++ {
+	check := func(label string, members []*member, list []seq.Pattern, buckets [][]*member) {
+		t.Helper()
+		for b, key := range list {
+			var want []*member
+			for _, mb := range members {
+				if mb.cs.Contains(key) {
+					want = append(want, mb)
+				}
+			}
+			if len(want) != len(buckets[b]) {
+				t.Fatalf("%s: bucket %s has %d members, want %d", label, key, len(buckets[b]), len(want))
+			}
+			for j := range want {
+				if want[j] != buckets[b][j] {
+					t.Fatalf("%s: bucket %s order differs at %d", label, key, j)
+				}
+			}
+		}
+	}
+	for i := 0; i < 24; i++ {
 		db := testutil.RandomDB(r, 12+r.Intn(10), 6, 4, 3)
 		minSup := 1 + r.Intn(3)
-		e := &engine{opts: DefaultOptions(), minSup: minSup, res: mining.NewResult(), maxItem: db.MaxItem()}
+		var sched *scheduler
+		if i%4 == 3 {
+			// Chunked: enough members for several chunks at level 0 and
+			// at level 1 after reduction.
+			db = testutil.RandomDB(r, 1400, 8, 5, 3)
+			minSup = 70
+			sched = newScheduler(4)
+		}
+		e := &engine{opts: DefaultOptions(), minSup: minSup, res: mining.NewResult(), maxItem: db.MaxItem(), sched: sched}
 		var members []*member
 		for _, cs := range db {
 			members = append(members, &member{cs: cs})
@@ -231,21 +261,21 @@ func TestEagerBucketsMatchLazySplit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		check(fmt.Sprintf("db %d level 0", i), members, list, buckets)
+		// Level 1, as processPartition runs it: the frequent extensions
+		// of the key over its bucket, then the split over the reduced
+		// members.
 		for b, key := range list {
-			var want []*member
-			for _, mb := range members {
-				if mb.cs.Contains(key) {
-					want = append(want, mb)
-				}
+			list1, _ := e.frequentExtensions(key, buckets[b], 1)
+			reduced, err := e.reduceMembers(key.LastItem(), buckets[b], list1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(want) != len(buckets[b]) {
-				t.Fatalf("db %d: bucket %s has %d members, want %d", i, key, len(buckets[b]), len(want))
+			buckets1, err := e.eagerBuckets(key, reduced, list1, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for j := range want {
-				if want[j] != buckets[b][j] {
-					t.Fatalf("db %d: bucket %s order differs at %d", i, key, j)
-				}
-			}
+			check(fmt.Sprintf("db %d level 1 key %s", i, key), reduced, list1, buckets1)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // TestWorkerPanicContained is the regression test for the uncatchable
-// worker-goroutine panic (the findExtension invariant in parallel.go):
+// worker-goroutine panic (any invariant panic inside a partition worker):
 // a panic injected at a partition boundary must come back from Mine as
 // an *mining.InvariantError — carrying the partition and a stack — with
 // the process alive and the run drained, at every worker count.

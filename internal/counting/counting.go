@@ -41,7 +41,6 @@ type Array struct {
 	epS, epI   []uint32 // epoch stamp per cell
 	touchedS   []seq.Item
 	touchedI   []seq.Item
-	sortBuf    []seq.Item // frequent()'s reusable sort staging
 	maxItem    seq.Item
 	rec        *Recorder
 }
@@ -138,25 +137,24 @@ func (a *Array) FrequentI(minSup int, buf []seq.Item) []seq.Item {
 
 func (a *Array) frequent(touched []seq.Item, sup []int32, ep []uint32, minSup int, buf []seq.Item) []seq.Item {
 	// touched is unsorted; results must come out in item order. The
-	// touched set is small relative to maxItem in deep partitions, so sort
-	// a copy of the touched list (staged in the array's reusable buffer —
-	// warm calls allocate nothing) rather than scanning the whole array.
-	tmp := append(a.sortBuf[:0], touched...)
-	a.sortBuf = tmp
-	slices.Sort(tmp)
-	for _, x := range tmp {
+	// touched set is small relative to maxItem in deep partitions, so
+	// filter it rather than scanning the whole array, then sort only the
+	// survivors, in place in the caller's buffer.
+	start := len(buf)
+	for _, x := range touched {
 		if ep[x] == a.epoch && int(sup[x]) >= minSup {
 			buf = append(buf, x)
 		}
 	}
+	slices.Sort(buf[start:])
 	return buf
 }
 
 // MemBytes returns the array's slab footprint: six per-item cell arrays
-// plus the touched and sort staging buffers. O(1); feeds the engine's
-// resource-budget accounting.
+// plus the touched lists. O(1); feeds the engine's resource-budget
+// accounting.
 func (a *Array) MemBytes() int64 {
 	return int64(cap(a.supS)+cap(a.supI)+cap(a.cidS)+cap(a.cidI))*4 +
 		int64(cap(a.epS)+cap(a.epI))*4 +
-		int64(cap(a.touchedS)+cap(a.touchedI)+cap(a.sortBuf))*4
+		int64(cap(a.touchedS)+cap(a.touchedI))*4
 }

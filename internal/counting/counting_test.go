@@ -129,8 +129,8 @@ func TestNonContiguousCIDsDoubleCount(t *testing.T) {
 // TestSteadyStateZeroAllocs pins the scratch-buffer property the engine
 // arenas rely on: after one warm round, a full touch / frequent-scan /
 // Reset cycle of the same shape performs zero heap allocations — the
-// Frequent* sort runs in the retained sortBuf, not a fresh copy of the
-// touched list.
+// Frequent* scans filter the touched list into the caller's buffer and
+// sort the survivors there, with no staging copy.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	a := New(60)
 	buf := make([]seq.Item, 0, 64)
@@ -152,8 +152,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 
 // TestMemBytesAccounting sanity-checks the O(1) footprint report: zero
 // before any slab exists is impossible (New allocates the support
-// slabs), but the figure must grow once the touched lists and sort
-// scratch fill, and must be stable across Reset (slabs are retained).
+// slabs), but the figure must grow once the touched lists fill, and must
+// be stable across Reset (slabs are retained).
 func TestMemBytesAccounting(t *testing.T) {
 	a := New(100)
 	base := a.MemBytes()

@@ -1,10 +1,11 @@
 package jobs
 
-// Regression tests for three manager bugs that became visible once jobs
-// started crossing process boundaries (the cluster path multiplies all
-// three): budget clobbering in defaultMine, the asynchronous periodic-
-// snapshot stop racing the final checkpoint write, and canceled queued
-// jobs leaking their admission slot.
+// Regression tests for manager bugs that became visible once jobs
+// started crossing process boundaries (the cluster path multiplies
+// them): budget clobbering in defaultMine, the asynchronous periodic-
+// snapshot stop racing the final checkpoint write, canceled queued jobs
+// leaking their admission slot, and cached terminal jobs holding on to
+// their parsed database.
 
 import (
 	"context"
@@ -209,4 +210,78 @@ func TestCanceledQueuedJobFreesQueueSlot(t *testing.T) {
 		t.Fatalf("canceled queued job executed %d times, want 0", n)
 	}
 	drain(t, m)
+}
+
+// TestTerminalJobsReleaseDatabase is the memory regression for the
+// completed-job cache: a job that finished done, failed, or canceled
+// before it ever ran must no longer reference its database, and an
+// identical resubmission of the done job must still hit the cache.
+func TestTerminalJobsReleaseDatabase(t *testing.T) {
+	m := NewManager(Config{Workers: 1, QueueDepth: 4})
+	defer drain(t, m)
+	release := make(chan struct{})
+	m.mine = func(ctx context.Context, j *Job, cp *core.Checkpointer) (*mining.Result, error) {
+		if j.req.MinSup == 3 { // the blocker holds the only worker
+			<-release
+		}
+		return m.defaultMine(ctx, j, cp)
+	}
+	submit := func(req Request) *Job {
+		t.Helper()
+		j, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+
+	blocker := submit(reqFor(smallDB(1), 3))
+	for i := 0; blocker.State() != StateRunning; i++ {
+		if i > 5000 {
+			t.Fatal("blocker never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	canceled := submit(reqFor(smallDB(2), 2))
+	if _, err := m.Cancel(canceled.ID()); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	done := submit(reqFor(testutil.Table1(), 2))
+	failing := reqFor(smallDB(3), 1)
+	failing.Opts.MaxPatterns = 1
+	failed := submit(failing)
+
+	for _, c := range []struct {
+		j    *Job
+		want State
+	}{{blocker, StateDone}, {canceled, StateCanceled}, {done, StateDone}, {failed, StateFailed}} {
+		if st := waitTerminal(t, c.j); st.State != c.want {
+			t.Fatalf("job %s = %+v, want %s", c.j.ID(), st, c.want)
+		}
+		c.j.mu.Lock()
+		db := c.j.req.DB
+		c.j.mu.Unlock()
+		if db != nil {
+			t.Errorf("%s job %s still references its database", c.want, c.j.ID())
+		}
+	}
+	if n := m.ExecCount(canceled.ID()); n != 0 {
+		t.Fatalf("canceled queued job executed %d times, want 0", n)
+	}
+
+	hits := m.Metrics().CacheHits
+	again := submit(reqFor(testutil.Table1(), 2))
+	if again != done {
+		t.Fatal("identical resubmission of a done job returned a different job")
+	}
+	if res, ok := again.Result(); !ok || res.Len() == 0 {
+		t.Fatal("cached job lost its result")
+	}
+	if got := m.Metrics().CacheHits; got != hits+1 {
+		t.Fatalf("cache hits = %d, want %d", got, hits+1)
+	}
+	if n := m.ExecCount(done.ID()); n != 1 {
+		t.Fatalf("done job executed %d times, want 1", n)
+	}
 }

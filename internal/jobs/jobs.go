@@ -205,7 +205,12 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// finish moves the job to a terminal state exactly once.
+// finish moves the job to a terminal state exactly once, and drops the
+// job's database: nothing reads it after the run, and up to CacheJobs
+// terminal jobs stay cached, so keeping it would grow the service's
+// memory with every finished job. The run reads the database before its
+// own goroutine finishes the job; a job canceled while queued never runs
+// (runJob sees the cancellation under mu), so no read races the release.
 func (j *Job) finish(s State, res *mining.Result, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -213,6 +218,7 @@ func (j *Job) finish(s State, res *mining.Result, err error) {
 		return
 	}
 	j.state, j.result, j.err = s, res, err
+	j.req.DB = nil
 	j.finished = time.Now()
 	j.cancel = nil
 	close(j.done)

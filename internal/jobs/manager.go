@@ -675,7 +675,6 @@ func (m *Manager) runJob(j *Job) {
 	j.mu.Lock()
 	j.rootSpan = sp.ID()
 	j.mu.Unlock()
-	defer sp.End()
 
 	m.executed.Inc()
 	m.mu.Lock()
@@ -691,22 +690,26 @@ func (m *Manager) runJob(j *Job) {
 	res, err := m.mine(ctx, j, cp)
 	stopSnapshots()
 
+	state := StateDone
 	switch {
 	case err == nil:
 		if ckptPath != "" {
 			m.cfg.FS.Remove(ckptPath) // the run finished; the checkpoint is obsolete
 		}
-		m.finishJob(j, StateDone, res, nil)
 	case errors.Is(err, context.Canceled):
 		m.writeCheckpoint(j, cp, ckptPath)
-		m.finishJob(j, StateCanceled, nil, err)
+		state, res = StateCanceled, nil
 	default:
 		// Deadline, contained panic, budget breach, malformed input:
 		// keep the completed partitions — an identical resubmission
 		// resumes instead of restarting.
 		m.writeCheckpoint(j, cp, ckptPath)
-		m.finishJob(j, StateFailed, nil, err)
+		state, res = StateFailed, nil
 	}
+	// The root span ends before the job turns terminal, so a caller
+	// woken by Done reads a timeline that already holds it.
+	sp.End()
+	m.finishJob(j, state, res, err)
 }
 
 // checkpointable reports whether the algorithm supports partition

@@ -134,13 +134,10 @@ func minExtension(cs *seq.CustomerSeq, f seq.Pattern) (z seq.Item, tno int32, ok
 
 // minConstrainedExtension finds the minimum extension pair (z, tno) of f on
 // cs such that (z, tno) is greater than (strict) or at least (otherwise)
-// the bound pair (y, yno). It scans the complete candidate set: leftmost
-// i- and s-extensions plus i-extensions at every later match of f.
+// the bound pair (y, yno). It scans the complete candidate set, every
+// extension EnumExtensions reports: leftmost i- and s-extensions plus
+// i-extensions at every later match of f.
 func minConstrainedExtension(cs *seq.CustomerSeq, f seq.Pattern, y seq.Item, yno int32, strict bool) (z seq.Item, tno int32, ok bool) {
-	tM, pos, found := cs.LeftmostMatch(f)
-	if !found {
-		return 0, 0, false
-	}
 	n := f.LastTNo()
 	var best seq.Item
 	var bestNo int32
@@ -154,75 +151,46 @@ func minConstrainedExtension(cs *seq.CustomerSeq, f seq.Pattern, y seq.Item, yno
 			best, bestNo, have = it, no, true
 		}
 	}
-	// Leftmost i-extensions: items of t_M after the matching point.
-	for p := pos + 1; p < cs.Len() && cs.TNoAt(p) == cs.TNoAt(pos); p++ {
-		consider(cs.ItemAt(p), n)
-	}
-	// Leftmost s-extensions: items of transactions after t_M.
-	for t := tM + 1; t < cs.NTrans(); t++ {
-		for _, it := range cs.Transaction(t) {
-			consider(it, n+1)
-		}
-	}
-	// i-extensions at later matches: any transaction after the prefix match
-	// that contains f's last itemset offers its items greater than f's last
-	// item.
-	last := f.LastItemset()
-	lastItem := f.LastItem()
-	prefixEnd, pok := cs.MatchPrefixEnd(f)
-	if pok {
-		for t := prefixEnd + 1; t < cs.NTrans(); t++ {
-			if t == tM {
-				continue // already covered by the leftmost scan
-			}
-			tr := cs.Transaction(t)
-			if !tr.Contains(last) {
-				continue
-			}
-			for _, it := range tr {
-				if it > lastItem {
-					consider(it, n)
-				}
-			}
-		}
-	}
+	EnumExtensions(cs, f,
+		func(it seq.Item) { consider(it, n) },
+		func(it seq.Item) { consider(it, n+1) })
 	return best, bestNo, have
 }
 
 // EnumExtensions reports every extension item of the pattern f contained in
 // cs: onI(z) is called for items z such that cs contains f i-extended with
 // z, and onS(z) for items such that cs contains f s-extended with z.
-// Callbacks may fire more than once for the same item; the counting array's
-// last-CID mechanism absorbs duplicates. This drives the counting-array
-// passes of §3.1 (frequent 2- and 3-sequences) and the bi-level technique
-// of §3.2 (Figure 7).
+// Either callback may be nil. Callbacks may fire more than once for the
+// same item; the counting array's last-CID mechanism absorbs duplicates.
+// This drives the counting-array passes of §3.1 (frequent 2- and
+// 3-sequences) and the bi-level technique of §3.2 (Figure 7).
+//
+// One greedy walk serves both forms. s-extensions are the items of every
+// transaction after the leftmost match t_M. i-extensions are the items
+// greater than f's last item in any transaction after the match of f's
+// other itemsets that contains f's last itemset; the first such
+// transaction is t_M itself (see seq.LeftmostMatch), where those items are
+// the ones right of the matching point.
 func EnumExtensions(cs *seq.CustomerSeq, f seq.Pattern, onI, onS func(seq.Item)) {
-	tM, _, found := cs.LeftmostMatch(f)
+	tM, pos, found := cs.LeftmostMatch(f)
 	if !found {
 		return
 	}
-	// s-extensions: every item in a transaction after the leftmost match.
-	if onS != nil {
-		for t := tM + 1; t < cs.NTrans(); t++ {
-			for _, it := range cs.Transaction(t) {
+	last := f.LastItemset()
+	lastItem := f.LastItem()
+	if onI != nil {
+		for p := pos + 1; p < int(cs.TransStart(tM+1)); p++ {
+			onI(cs.ItemAt(p))
+		}
+	}
+	for t := tM + 1; t < cs.NTrans(); t++ {
+		tr := cs.Transaction(t)
+		if onS != nil {
+			for _, it := range tr {
 				onS(it)
 			}
 		}
-	}
-	// i-extensions: items greater than f's last item in any transaction
-	// after the prefix match that contains f's last itemset.
-	if onI != nil {
-		last := f.LastItemset()
-		lastItem := f.LastItem()
-		prefixEnd, pok := cs.MatchPrefixEnd(f)
-		if !pok {
-			return
-		}
-		for t := prefixEnd + 1; t < cs.NTrans(); t++ {
-			tr := cs.Transaction(t)
-			if !tr.Contains(last) {
-				continue
-			}
+		if onI != nil && tr.Contains(last) {
 			for _, it := range tr {
 				if it > lastItem {
 					onI(it)

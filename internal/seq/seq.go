@@ -21,6 +21,7 @@ package seq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -35,16 +36,19 @@ type Itemset []Item
 func NewItemset(items ...Item) Itemset {
 	out := make(Itemset, len(items))
 	copy(out, items)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	// Deduplicate in place.
-	w := 0
-	for i, it := range out {
-		if i == 0 || it != out[i-1] {
-			out[w] = it
-			w++
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// ascending reports whether items is strictly ascending, i.e. already a
+// canonical itemset.
+func ascending(items []Item) bool {
+	for i := 1; i < len(items); i++ {
+		if items[i] <= items[i-1] {
+			return false
 		}
 	}
-	return out[:w]
+	return true
 }
 
 // Contains reports whether the canonical itemset t contains every item of
@@ -308,7 +312,7 @@ func Compare(p, q Pattern) int {
 	return 0
 }
 
-// ComparePairWith compares the single extension pair (x1, n1) against
+// ComparePair compares the single extension pair (x1, n1) against
 // (x2, n2) under the pair order used by Compare.
 func ComparePair(x1 Item, n1 int32, x2 Item, n2 int32) int {
 	switch {
@@ -379,23 +383,38 @@ type CustomerSeq struct {
 }
 
 // NewCustomerSeq builds a customer sequence from raw transactions,
-// canonicalizing each transaction and dropping empty ones.
+// canonicalizing each transaction and dropping empty ones. It copies the
+// transactions, so the caller may reuse their storage afterwards. Each of
+// the flattened slices is allocated once, sized from the input, and a
+// transaction is sorted and deduplicated only when it is not already
+// strictly ascending.
 func NewCustomerSeq(cid int, transactions ...Itemset) *CustomerSeq {
-	cs := &CustomerSeq{CID: cid}
+	n := 0
 	for _, t := range transactions {
-		c := NewItemset(t...)
-		if len(c) == 0 {
+		n += len(t)
+	}
+	items := make([]Item, n)
+	tnos := make([]int32, n)
+	starts := make([]int32, 1, len(transactions)+1)
+	w := 0
+	for _, t := range transactions {
+		tr := items[w : w+len(t)]
+		copy(tr, t)
+		if !ascending(tr) {
+			slices.Sort(tr)
+			tr = slices.Compact(tr)
+		}
+		if len(tr) == 0 {
 			continue
 		}
-		cs.starts = append(cs.starts, int32(len(cs.items)))
-		no := int32(len(cs.starts))
-		for _, it := range c {
-			cs.items = append(cs.items, it)
-			cs.tnos = append(cs.tnos, no)
+		no := int32(len(starts))
+		for i := range tr {
+			tnos[w+i] = no
 		}
+		w += len(tr)
+		starts = append(starts, int32(w))
 	}
-	cs.starts = append(cs.starts, int32(len(cs.items)))
-	return cs
+	return &CustomerSeq{CID: cid, items: items[:w:w], tnos: tnos[:w:w], starts: starts}
 }
 
 // Len returns the total number of item occurrences (the paper's sequence
@@ -475,63 +494,40 @@ func (cs *CustomerSeq) Contains(p Pattern) bool {
 // itemset of p is matched in the earliest possible transaction. On success
 // it returns the 0-based transaction index holding p's final itemset and
 // the flattened position in cs of p's final item (the paper's "matching
-// point" M). The greedy strategy provably minimizes both.
+// point" M). The greedy strategy provably minimizes both. The empty
+// pattern matches at (-1, -1).
+//
+// Because each itemset is matched in the earliest transaction after the
+// previous one, no transaction between the end of the match of p's other
+// itemsets and lastTrans contains p's final itemset: the transactions
+// after that prefix match which contain the final itemset are exactly
+// lastTrans and the later ones that contain it.
 func (cs *CustomerSeq) LeftmostMatch(p Pattern) (lastTrans int, matchPos int, ok bool) {
-	return cs.matchFrom(p, 0, 0)
-}
-
-// MatchPrefixEnd matches all itemsets of p except the last one, greedily
-// leftmost, and returns the 0-based transaction index where that prefix
-// ends (-1 if the prefix is empty, i.e. p has a single itemset). ok=false
-// if even the prefix does not occur.
-func (cs *CustomerSeq) MatchPrefixEnd(p Pattern) (prefixEnd int, ok bool) {
-	n := p.NumItemsets()
-	if n <= 1 {
-		return -1, true
-	}
-	t := 0
-	for no := int32(1); no < int32(n); no++ {
-		is := p.ItemsetAt(no)
-		for ; t < cs.NTrans(); t++ {
-			if cs.Transaction(t).Contains(is) {
-				break
-			}
-		}
-		if t >= cs.NTrans() {
-			return 0, false
-		}
-		t++
-	}
-	return t - 1, true
-}
-
-func (cs *CustomerSeq) matchFrom(p Pattern, itemsetNo int32, fromTrans int) (lastTrans int, matchPos int, ok bool) {
-	t := fromTrans
-	n := int32(p.NumItemsets())
-	if n == 0 {
+	if len(p.items) == 0 {
 		return -1, -1, true
 	}
-	var is Itemset
-	for no := itemsetNo + 1; no <= n; no++ {
-		is = p.ItemsetAt(no)
-		for ; t < cs.NTrans(); t++ {
-			if cs.Transaction(t).Contains(is) {
-				break
-			}
+	t, nt := 0, cs.NTrans()
+	for lo := 0; ; {
+		hi := lo + 1
+		for hi < len(p.items) && p.tnos[hi] == p.tnos[lo] {
+			hi++
 		}
-		if t >= cs.NTrans() {
-			return 0, 0, false
-		}
-		if no < n {
+		is := Itemset(p.items[lo:hi])
+		for t < nt && !cs.Transaction(t).Contains(is) {
 			t++
 		}
+		if t == nt {
+			return 0, 0, false
+		}
+		if hi == len(p.items) {
+			// Matching point: the position of p's last item within t.
+			start := int(cs.starts[t])
+			i, _ := slices.BinarySearch(cs.items[start:cs.starts[t+1]], is[len(is)-1])
+			return t, start + i, true
+		}
+		t++
+		lo = hi
 	}
-	// Matching point: position of the last item of p within transaction t.
-	last := is[len(is)-1]
-	lo := int(cs.starts[t])
-	hi := int(cs.starts[t+1])
-	pos := lo + sort.Search(hi-lo, func(i int) bool { return cs.items[lo+i] >= last })
-	return t, pos, true
 }
 
 // DistinctItems appends the distinct items of cs to buf (using seen as a

@@ -2,6 +2,7 @@ package seq
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -275,19 +276,61 @@ func TestLeftmostMatchExample34(t *testing.T) {
 	}
 }
 
-func TestMatchPrefixEnd(t *testing.T) {
-	cs := MustParseCustomerSeq(1, "(a)(b)(a,b)(c)")
-	// Prefix of <(a)(b)(c)> is <(a)(b)>, ending at transaction 1.
-	if end, ok := cs.MatchPrefixEnd(MustParsePattern("(a)(b)(c)")); !ok || end != 1 {
-		t.Errorf("MatchPrefixEnd = %d,%v want 1,true", end, ok)
+// TestNewCustomerSeqTable checks the flattening constructor against a
+// per-transaction NewItemset reference: canonical transactions pass
+// through, others are sorted and deduplicated, empty ones are dropped,
+// transaction numbers and starts follow the kept transactions, and the
+// result does not alias its input.
+func TestNewCustomerSeqTable(t *testing.T) {
+	cases := []struct {
+		name   string
+		in     []Itemset
+		mutate bool
+	}{
+		{"canonical", []Itemset{{1, 3}, {2}, {1, 2, 5}}, false},
+		{"unsorted", []Itemset{{3, 1}, {5, 2, 4}}, false},
+		{"duplicates", []Itemset{{2, 2, 1}, {4, 4}, {1, 1, 1}}, false},
+		{"empty transactions", []Itemset{{}, {2}, nil, {3, 1}, {}}, false},
+		{"all empty", []Itemset{{}, nil, {}}, false},
+		{"no transactions", nil, false},
+		{"input mutated after the call", []Itemset{{1, 2}, {4, 3}}, true},
 	}
-	// Single-itemset pattern: empty prefix ends at -1.
-	if end, ok := cs.MatchPrefixEnd(MustParsePattern("(a,b)")); !ok || end != -1 {
-		t.Errorf("MatchPrefixEnd single = %d,%v want -1,true", end, ok)
-	}
-	// Unmatchable prefix.
-	if _, ok := cs.MatchPrefixEnd(MustParsePattern("(c)(a)(b)")); ok {
-		t.Errorf("MatchPrefixEnd should fail for <(c)(a)(b)>")
+	for _, c := range cases {
+		var want []Itemset
+		for _, tr := range c.in {
+			if is := NewItemset(tr...); len(is) > 0 {
+				want = append(want, is)
+			}
+		}
+		cs := NewCustomerSeq(7, c.in...)
+		if c.mutate {
+			for _, tr := range c.in {
+				for i := range tr {
+					tr[i] = 9
+				}
+			}
+		}
+		if cs.CID != 7 || cs.NTrans() != len(want) {
+			t.Fatalf("%s: CID %d, %d transactions, want 7, %d", c.name, cs.CID, cs.NTrans(), len(want))
+		}
+		pos := 0
+		for tn, is := range want {
+			if got := cs.Transaction(tn); !slices.Equal(got, is) {
+				t.Fatalf("%s: transaction %d = %v, want %v", c.name, tn, got, is)
+			}
+			if int(cs.TransStart(tn)) != pos {
+				t.Fatalf("%s: TransStart(%d) = %d, want %d", c.name, tn, cs.TransStart(tn), pos)
+			}
+			for range is {
+				if cs.TNoAt(pos) != int32(tn+1) {
+					t.Fatalf("%s: TNoAt(%d) = %d, want %d", c.name, pos, cs.TNoAt(pos), tn+1)
+				}
+				pos++
+			}
+		}
+		if cs.Len() != pos || int(cs.TransStart(cs.NTrans())) != pos {
+			t.Fatalf("%s: Len %d, end %d, want %d", c.name, cs.Len(), cs.TransStart(cs.NTrans()), pos)
+		}
 	}
 }
 
@@ -499,21 +542,40 @@ func naiveContains(db []Itemset, pat []Itemset) bool {
 	return naiveContains(db[1:], pat)
 }
 
-// TestLeftmostMatchIsLeftmost verifies that the greedy match minimizes the
-// final transaction index by comparing against exhaustive search.
+// TestLeftmostMatchIsLeftmost checks the greedy walk against exhaustive
+// search on random data: the final transaction is the minimum over all
+// embeddings, the matching point is p's last item inside it, and it is the
+// first transaction after the earliest end of p's other itemsets that
+// contains p's last itemset — the property that lets the kmin extension
+// scans start at the final transaction.
 func TestLeftmostMatchIsLeftmost(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for i := 0; i < 2000; i++ {
 		cs := randomCustomer(r, 4, 5, 3)
 		p := randomPattern(r, 4, 4)
-		trans, _, ok := cs.LeftmostMatch(p)
+		trans, pos, ok := cs.LeftmostMatch(p)
 		minTrans, found := exhaustiveMinLastTrans(cs, p)
 		if ok != found {
 			t.Fatalf("match disagreement for %s in %s", p.Letters(), cs.Pattern().Letters())
 		}
-		if ok && trans != minTrans {
+		if !ok {
+			continue
+		}
+		if trans != minTrans {
 			t.Fatalf("LeftmostMatch trans %d, exhaustive min %d for %s in %s",
 				trans, minTrans, p.Letters(), cs.Pattern().Letters())
+		}
+		if cs.TNoAt(pos) != int32(trans+1) || cs.ItemAt(pos) != p.LastItem() {
+			t.Fatalf("matching point %d of %s in %s is not its last item in transaction %d",
+				pos, p.Letters(), cs.Pattern().Letters(), trans)
+		}
+		sets := p.Itemsets()
+		prefixEnd, _ := exhaustiveMinLastTrans(cs, NewPattern(sets[:len(sets)-1]...))
+		for tt := prefixEnd + 1; tt < trans; tt++ {
+			if cs.Transaction(tt).Contains(p.LastItemset()) {
+				t.Fatalf("transaction %d of %s holds the last itemset of %s before the match at %d",
+					tt, cs.Pattern().Letters(), p.Letters(), trans)
+			}
 		}
 	}
 }
