@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench check difftest faultinject fuzz soak obs cluster chaos storagefault
+.PHONY: all build vet test race bench benchcheck check difftest faultinject fuzz soak obs cluster chaos storagefault
 
 all: check
 
@@ -119,5 +119,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDISCAllVsOracle -fuzztime $(FUZZTIME) ./internal/difftest
 	$(GO) test -run '^$$' -fuzz FuzzDynamicVsOracle -fuzztime $(FUZZTIME) ./internal/difftest
 
-# check is what CI runs: vet, build, the full suite, then the race pass.
-check: vet build test race
+# The benchmark module (discbench/) has its own go.mod, so ./... never
+# reaches it: vet it and run its short tests, which pin the seed-1 paper
+# counts (rounds, hits, skips, KMS/CKMS calls, partitions per level) the
+# engine must keep.
+benchcheck:
+	cd discbench && $(GO) vet ./... && $(GO) test -short ./...
+
+# check is what CI runs: vet, build, the full suite, the race pass, then
+# the benchmark module's checks.
+check: vet build test race benchcheck

@@ -17,10 +17,10 @@
 // same node index. Index 0 is a shared null sentinel whose height and
 // size are zero, so child statistics are read without branch-per-link nil
 // checks. Freed nodes go on an intrusive free list threaded through their
-// left links, and Reset rewinds the whole structure in O(1) without
-// releasing the slabs to the garbage collector — a tree drawn from a
-// per-worker arena is reused across DISC rounds and partitions at zero
-// steady-state allocation cost. Tree is the DISC engine's only locative
+// left links, and Reset rewinds the whole structure, clearing the keys and
+// values it held, without releasing the slabs to the garbage collector —
+// a tree drawn from a per-worker arena is reused across DISC rounds and
+// partitions at zero steady-state allocation cost. Tree is the DISC engine's only locative
 // tree; the package tests check every operation against a sorted-slice
 // model of (key, value) pairs.
 package avl
@@ -103,14 +103,19 @@ func (t *Tree[K, V]) Observe(r *Recorder) *Tree[K, V] {
 	return t
 }
 
-// Reset empties the tree in O(used) time (one memclr of the key slab)
-// while keeping every slab and every bucket's capacity allocated: the
-// next fill of comparable size performs zero allocations. Buckets keep
-// their element storage; keys are cleared eagerly so large key values
-// (patterns) do not outlive the round that created them.
+// Reset empties the tree in O(used) time (one memclr of the key slab and
+// of each used bucket) while keeping every slab and every bucket's
+// capacity allocated: the next fill of comparable size performs zero
+// allocations. Buckets keep their element storage; keys and values are
+// cleared eagerly so that neither outlives the round that created it — a
+// stale value would keep whatever it points to reachable for as long as
+// the tree lives.
 func (t *Tree[K, V]) Reset() {
 	if t.used > 1 {
 		clear(t.keys[1:t.used])
+		for i := int32(1); i < t.used; i++ {
+			t.clearBucket(i)
+		}
 	}
 	t.root, t.free, t.pending = 0, 0, 0
 	if len(t.nodes) > 0 {
@@ -256,14 +261,24 @@ func (t *Tree[K, V]) flushPending() {
 	}
 }
 
-// freeSlot pushes slot i onto the free list. The key is cleared eagerly
-// (large keys must not outlive their round); the bucket keeps its
-// backing array so a future alloc of this slot appends into warm memory.
+// freeSlot pushes slot i onto the free list. The key and the bucket's
+// values are cleared eagerly (they must not outlive their round); the
+// bucket keeps its backing array so a future alloc of this slot appends
+// into warm memory.
 func (t *Tree[K, V]) freeSlot(i int32) {
 	var zk K
 	t.keys[i] = zk
+	t.clearBucket(i)
 	t.nodes[i].left = t.free
 	t.free = i
+}
+
+// clearBucket zeroes bucket i's values and empties it. Every path that
+// empties a bucket goes through here, so no value survives beyond a
+// bucket's length.
+func (t *Tree[K, V]) clearBucket(i int32) {
+	clear(t.vals[i])
+	t.vals[i] = t.vals[i][:0]
 }
 
 // Min returns the smallest key and its bucket. ok is false on an empty

@@ -152,6 +152,54 @@ func TestPopMinBucketSurvivesInserts(t *testing.T) {
 	checkInvariants(t, tr)
 }
 
+// TestFreedBucketsHoldNoValues: a bucket that PopMin, Delete or Reset
+// gave up keeps its backing array but no value, up to its capacity, so a
+// pooled tree never keeps what its old values point to reachable.
+func TestFreedBucketsHoldNoValues(t *testing.T) {
+	tr := New[int, *int](func(a, b int) int { return a - b })
+	fill := func() {
+		for i := 0; i < 200; i++ {
+			v := i
+			tr.Insert(i%23, &v)
+		}
+	}
+	stale := func(when string) {
+		t.Helper()
+		live := map[int32]bool{}
+		var walk func(i int32)
+		walk = func(i int32) {
+			if i != 0 {
+				live[i] = true
+				walk(tr.nodes[i].left)
+				walk(tr.nodes[i].right)
+			}
+		}
+		walk(tr.root)
+		for i := int32(1); i < int32(len(tr.vals)); i++ {
+			b := tr.vals[i]
+			from := 0
+			if live[i] || i == tr.pending {
+				from = len(b)
+			}
+			for j, v := range b[from:cap(b)] {
+				if v != nil {
+					t.Fatalf("%s: slot %d holds a stale value at %d", when, i, from+j)
+				}
+			}
+		}
+	}
+	fill()
+	for k := 0; k < 10; k++ {
+		tr.PopMin()
+	}
+	tr.Delete(15)
+	tr.PopMin() // frees the slot Delete left pending
+	stale("after PopMin and Delete")
+	fill()
+	tr.Reset()
+	stale("after Reset")
+}
+
 // TestResetReusesSlabs proves the arena property: after Reset, refilling a
 // tree of the same shape performs zero heap allocations and zero slab
 // growth events.

@@ -110,20 +110,54 @@ type File struct {
 func Fingerprint(algo, optionsSig string, minSup int, db mining.Database) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s\x00%s\x00%d\x00", algo, optionsSig, minSup)
+	var key []byte
 	for _, cs := range db {
-		io.WriteString(h, cs.Pattern().Key())
-		h.Write([]byte{0})
+		key = append(cs.Pattern().AppendKey(key[:0]), 0)
+		h.Write(key)
 	}
 	return h.Sum64()
 }
 
 func writePairs(b *strings.Builder, p seq.Pattern) {
+	var num [24]byte
 	for i := 0; i < p.Len(); i++ {
+		buf := num[:0]
 		if i > 0 {
-			b.WriteByte(' ')
+			buf = append(buf, ' ')
 		}
-		fmt.Fprintf(b, "%d:%d", p.ItemAt(i), p.TNoAt(i))
+		buf = strconv.AppendInt(buf, int64(p.ItemAt(i)), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(p.TNoAt(i)), 10)
+		b.Write(buf)
 	}
+}
+
+// writeInts writes " n" for every n of ns.
+func writeInts(b *strings.Builder, ns ...int) {
+	var num [24]byte
+	for _, n := range ns {
+		b.Write(strconv.AppendInt(append(num[:0], ' '), int64(n), 10))
+	}
+}
+
+// writeHex16 writes x as 16 lowercase hex digits, as %016x does.
+func writeHex16(b *strings.Builder, x uint64) {
+	const digits = "0123456789abcdef"
+	var hex [16]byte
+	for i := range hex {
+		hex[i] = digits[x>>(60-4*i)&0xf]
+	}
+	b.Write(hex[:])
+}
+
+// partitionSize estimates the bytes writePartition renders for p, so
+// payloads can be sized once instead of regrown.
+func partitionSize(p Partition) int {
+	n := 96 + 6*p.Key.Len()
+	for _, pc := range p.Patterns {
+		n += 4 + 6*pc.Pattern.Len()
+	}
+	return n
 }
 
 func parsePairs(fields []string) (seq.Pattern, error) {
@@ -154,12 +188,11 @@ func writePartition(b *strings.Builder, p Partition) {
 	writePairs(b, p.Key)
 	b.WriteByte('\n')
 	s := p.Stats
-	fmt.Fprintf(b, "stats %d %d %d %d %d %d\n",
-		s.Rounds, s.FrequentHits, s.Skips, s.KMSCalls, s.CKMSCalls, s.Dropped)
+	b.WriteString("stats")
+	writeInts(b, s.Rounds, s.FrequentHits, s.Skips, s.KMSCalls, s.CKMSCalls, s.Dropped)
+	b.WriteByte('\n')
 	b.WriteString("levels")
-	for _, n := range s.PartitionsByLevel {
-		fmt.Fprintf(b, " %d", n)
-	}
+	writeInts(b, s.PartitionsByLevel...)
 	b.WriteByte('\n')
 	b.WriteString("nrr")
 	for i, v := range s.NRRByLevel {
@@ -167,19 +200,30 @@ func writePartition(b *strings.Builder, p Partition) {
 		if i < len(s.NRRCount) {
 			n = s.NRRCount[i]
 		}
-		fmt.Fprintf(b, " %016x/%d", math.Float64bits(v), n)
+		b.WriteByte(' ')
+		writeHex16(b, math.Float64bits(v))
+		b.WriteByte('/')
+		b.WriteString(strconv.Itoa(n))
 	}
 	b.WriteByte('\n')
-	fmt.Fprintf(b, "patterns %d\n", len(p.Patterns))
+	b.WriteString("patterns")
+	writeInts(b, len(p.Patterns))
+	b.WriteByte('\n')
 	for _, pc := range p.Patterns {
 		writePairs(b, pc.Pattern)
-		fmt.Fprintf(b, " %d\n", pc.Support)
+		writeInts(b, pc.Support)
+		b.WriteByte('\n')
 	}
 }
 
 // payload renders everything after the header line.
 func (f *File) payload() string {
 	var b strings.Builder
+	size := 256
+	for _, p := range f.Partitions {
+		size += partitionSize(p)
+	}
+	b.Grow(size)
 	fmt.Fprintf(&b, "algo %s\n", f.Algo)
 	fmt.Fprintf(&b, "fingerprint %016x\n", f.Fingerprint)
 	fmt.Fprintf(&b, "minsup %d\n", f.MinSup)
@@ -199,13 +243,26 @@ func (f *File) payload() string {
 // grammar.
 func writeDoc(w io.Writer, magic, payload string) (int, error) {
 	header := fmt.Sprintf("%s v%d crc32=%08x bytes=%d\n",
-		magic, Version, crc32.ChecksumIEEE([]byte(payload)), len(payload))
+		magic, Version, checksum(payload), len(payload))
 	n, err := io.WriteString(w, header)
 	if err != nil {
 		return n, err
 	}
 	m, err := io.WriteString(w, payload)
 	return n + m, err
+}
+
+// checksum is the CRC32 (IEEE) of s, computed through a small buffer
+// rather than a copy of a payload that may run to megabytes.
+func checksum(s string) uint32 {
+	var buf [32 << 10]byte
+	var sum uint32
+	for len(s) > 0 {
+		n := copy(buf[:], s)
+		sum = crc32.Update(sum, crc32.IEEETable, buf[:n])
+		s = s[n:]
+	}
+	return sum
 }
 
 // readDoc verifies a document's magic, version, payload length and

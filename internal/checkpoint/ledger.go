@@ -91,18 +91,29 @@ func untoken(s string) string {
 
 func (l *Ledger) payload() string {
 	var b strings.Builder
+	size := 256 + len(l.DB)
+	for _, s := range l.Shards {
+		size += 64 + 64*len(s.Attempts)
+		for _, p := range s.Partitions {
+			size += partitionSize(p)
+		}
+	}
+	b.Grow(size)
 	fmt.Fprintf(&b, "algo %s\n", l.Algo)
 	fmt.Fprintf(&b, "fingerprint %016x\n", l.Fingerprint)
 	fmt.Fprintf(&b, "minsup %d\n", l.MinSup)
 	fmt.Fprintf(&b, "options %t %d %016x %d\n",
 		l.BiLevel, l.Levels, math.Float64bits(l.Gamma), l.Workers)
-	db := strings.Split(strings.TrimSuffix(l.DB, "\n"), "\n")
-	if l.DB == "" {
-		db = nil
+	// The database block is its lines, each newline-terminated, counted
+	// first.
+	lines := 0
+	db := strings.TrimSuffix(l.DB, "\n")
+	if l.DB != "" {
+		lines = strings.Count(db, "\n") + 1
 	}
-	fmt.Fprintf(&b, "db %d\n", len(db))
-	for _, line := range db {
-		b.WriteString(line)
+	fmt.Fprintf(&b, "db %d\n", lines)
+	if lines > 0 {
+		b.WriteString(db)
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "shards %d\n", len(l.Shards))

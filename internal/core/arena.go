@@ -1,22 +1,26 @@
 // Round arenas of the DISC-all engine. Every per-round and per-partition
 // scratch structure — counting arrays, split trees, the k-sorted database
-// tree, extension index tables, k-minimum buffers — lives in one scratch
-// bundle owned by an engine. A serial run keeps one bundle for its whole
-// lifetime; a parallel run draws bundles from a sync.Pool shared by the
-// engine tree, so live scratch memory stays proportional to workers ×
-// depth while steady-state rounds allocate nothing: trees reset by slab
-// rewind, counting arrays by epoch stamping, index tables by memclr, item
-// buffers by re-slicing to length zero.
+// tree, extension index tables, member buffers, the reduction's staging —
+// lives in one scratch bundle owned by an engine. A serial run keeps one
+// bundle for its whole lifetime; a parallel run draws bundles from a
+// sync.Pool shared by the engine tree, so live scratch memory stays
+// proportional to workers × depth while steady-state rounds allocate
+// nothing: trees reset by slab rewind, counting arrays by epoch stamping,
+// index tables by memclr, item buffers by re-slicing to length zero.
 //
 // Aliasing rules (all proven by the -race hammer in arena_test.go):
 //
 //   - A bundle belongs to exactly one engine at a time; engines of a
 //     parallel run never share one (children draw their own).
-//   - Split trees and index tables are per recursion level: the split at
-//     level L holds its tree and table across the deeper recursion, which
-//     only touches level L+1 structures. reduceMembers gets a dedicated
-//     table because it runs at level 1 while the level-0 split's table is
-//     live and before the level-1 split fills its own.
+//   - Split trees, index tables and partition member buffers are per
+//     recursion level: the split at level L holds its tree, table and
+//     the member slice of the partition it is processing across the
+//     deeper recursion, which only touches level L+1 structures. A
+//     scheduled partition of a level-L split builds its members in its
+//     own engine's level-L buffer, which that engine never splits at.
+//     reduceMembers gets a dedicated table because it runs at level 1
+//     while the level-0 split's table is live and before the level-1
+//     split fills its own.
 //   - One DISC tree suffices per bundle: discLoop is a leaf of the
 //     partition recursion (discover never re-enters processPartition).
 //   - eagerBuckets chunk goroutines read the submitting engine's index
@@ -71,16 +75,17 @@ type scratch struct {
 	cntRec  *counting.Recorder
 
 	arrays     []*counting.Array                 // per-depth counting arrays
-	splitTrees []*avl.Tree[seq.Pattern, *member] // per-level split trees
+	splitTrees []*avl.Tree[seq.Pattern, filing]  // per-level split trees
+	bucketBufs [][]member                        // per-level members of the partition a split is running
 	disc       *avl.Tree[seq.Pattern, discEntry] // the k-sorted database tree
 	tables     []indexTable                      // per-level extension index tables
 	redTable   indexTable                        // reduceMembers' dedicated table
 	seen       []bool                            // level-0 DistinctItems bitmap
 	itemBuf    []seq.Item                        // DistinctItems output buffer
 	fi, fs     []seq.Item                        // FrequentI/FrequentS output buffers
-	membersBuf []*member                         // discLoop's mutable member copy
-	sets       []seq.Itemset                     // reduceMembers per-customer itemset headers
-	redBuf     []seq.Item                        // reduceMembers flat surviving-item storage
+	membersBuf []member                          // discLoop's mutable member copy
+	pack       seq.Packer                        // reduceMembers' staging of reduced sequences
+	reducedAt  []int                             // reduceMembers' matching points of the staged sequences
 }
 
 func newScratch(maxItem seq.Item, avlRec *avl.Recorder, cntRec *counting.Recorder) *scratch {
@@ -102,17 +107,37 @@ func (s *scratch) array(depth int) *counting.Array {
 }
 
 // splitTree returns the reset split tree for one recursion level.
-func (s *scratch) splitTree(level int) *avl.Tree[seq.Pattern, *member] {
+func (s *scratch) splitTree(level int) *avl.Tree[seq.Pattern, filing] {
 	for len(s.splitTrees) <= level {
 		s.splitTrees = append(s.splitTrees, nil)
 	}
 	t := s.splitTrees[level]
 	if t == nil {
-		t = avl.New[seq.Pattern, *member](seq.Compare).Observe(s.avlRec)
+		t = avl.New[seq.Pattern, filing](seq.Compare).Observe(s.avlRec)
 		s.splitTrees[level] = t
 	}
 	t.Reset()
 	return t
+}
+
+// filedMembers turns a bucket of the level's split over members into the
+// members of its partition, each at its own matching point of the
+// partition key, in the level's member buffer, so that no partition
+// allocates its member slice. The buffer's previous partition is cleared
+// first. A scheduled partition's own engine calls it, so the slice lives
+// in that engine's bundle while the partition runs.
+func (s *scratch) filedMembers(level int, members []member, bucket []filing) []member {
+	for len(s.bucketBufs) <= level {
+		s.bucketBufs = append(s.bucketBufs, nil)
+	}
+	buf := s.bucketBufs[level]
+	clear(buf)
+	buf = buf[:0]
+	for _, f := range bucket {
+		buf = append(buf, member{cs: members[f.idx].cs, at: int(f.at)})
+	}
+	s.bucketBufs[level] = buf
+	return buf
 }
 
 // discTree returns the reset k-sorted database tree.
@@ -151,9 +176,13 @@ func (s *scratch) seenBitmap() []bool {
 	return s.seen
 }
 
-// release drops round-local references (pattern keys in trees, member
-// pointers in buffers) while keeping every slab and capacity, so a pooled
-// bundle neither leaks the previous partition's data nor re-allocates.
+// release drops round-local references (pattern keys and customer
+// sequences in trees, members in buffers) while keeping every slab and
+// capacity, so a pooled bundle neither leaks the previous partition's
+// data nor re-allocates. The member buffers are cleared up to their
+// length only: whoever refills one clears what it held first (a stale
+// member past the length would keep its sequence reachable, and a reduced
+// sequence shares its arrays with its whole partition).
 func (s *scratch) release() {
 	for _, t := range s.splitTrees {
 		if t != nil {
@@ -165,8 +194,10 @@ func (s *scratch) release() {
 	}
 	clear(s.membersBuf)
 	s.membersBuf = s.membersBuf[:0]
-	clear(s.sets)
-	s.sets = s.sets[:0]
+	for i, buf := range s.bucketBufs {
+		clear(buf)
+		s.bucketBufs[i] = buf[:0]
+	}
 }
 
 // MemBytes reports the bundle's total slab footprint, exact for the trees
@@ -192,9 +223,13 @@ func (s *scratch) MemBytes() int64 {
 		total += int64(cap(t.i)+cap(t.s)) * 4
 	}
 	total += int64(cap(s.redTable.i)+cap(s.redTable.s)) * 4
-	total += int64(cap(s.itemBuf)+cap(s.fi)+cap(s.fs)+cap(s.redBuf)) * 4
-	total += int64(cap(s.membersBuf)) * 8
-	total += int64(cap(s.sets)) * 24
+	total += int64(cap(s.itemBuf)+cap(s.fi)+cap(s.fs)) * 4
+	total += int64(cap(s.membersBuf)) * 16
+	total += int64(cap(s.reducedAt)) * 8
+	for _, buf := range s.bucketBufs {
+		total += int64(cap(buf)) * 16
+	}
+	total += s.pack.MemBytes()
 	return total
 }
 

@@ -102,15 +102,17 @@ func TestArenaStatsCounters(t *testing.T) {
 
 // TestScratchSteadyStateAllocs is the regression guard for per-round
 // slice churn: once a bundle has served one partition of a given shape,
-// serving the same shape again — counting array, split tree, DISC tree,
-// index tables, distinct-items scan, frequent-extension collection — must
-// not touch the heap at all.
+// serving the same shape again — counting array, split tree and its
+// popped-bucket members, DISC tree, index tables, the reduction's staging,
+// distinct-items scan, frequent-extension collection — must not touch the
+// heap at all.
 func TestScratchSteadyStateAllocs(t *testing.T) {
 	s := newScratch(40, nil, nil)
 	pats := make([]seq.Pattern, 16)
 	for i := range pats {
 		pats[i] = seq.NewPattern(seq.NewItemset(seq.Item(i+1)), seq.NewItemset(seq.Item(i/2+1)))
 	}
+	members := make([]member, len(pats))
 	round := func() {
 		arr := s.array(1)
 		for i := 0; i < 64; i++ {
@@ -123,8 +125,19 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 		_ = s.reduceTable(pats)
 		_ = s.seenBitmap()
 		tree := s.splitTree(1)
-		for _, p := range pats {
-			tree.Insert(p, nil)
+		for i, p := range pats {
+			tree.Insert(p, filing{idx: int32(i)})
+			tree.Insert(pats[0], filing{idx: int32(i)})
+		}
+		_, bucket, _ := tree.PopMin()
+		_ = s.filedMembers(1, members, bucket)
+		s.pack.Reset()
+		for i, p := range pats {
+			s.pack.Begin(i)
+			s.pack.AddTransaction(p.ItemsetAt(1))
+			s.pack.EndTransaction()
+			s.pack.Add(p.LastItem())
+			s.pack.Commit()
 		}
 		disc := s.discTree()
 		for _, p := range pats {

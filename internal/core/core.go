@@ -28,6 +28,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/disc-mining/disc/internal/avl"
@@ -188,8 +189,9 @@ func (s *Stats) observeNRR(level int, nrr float64) {
 }
 
 func (s *Stats) partitionProcessed(level int) {
-	for len(s.PartitionsByLevel) <= level {
-		s.PartitionsByLevel = append(s.PartitionsByLevel, 0)
+	if n := level + 1 - len(s.PartitionsByLevel); n > 0 {
+		// One growth for a child engine's first, deep partition.
+		s.PartitionsByLevel = append(s.PartitionsByLevel, make([]int, n)...)
 	}
 	s.PartitionsByLevel[level]++
 }
@@ -295,13 +297,28 @@ func (d *Dynamic) MineContext(ctx context.Context, db mining.Database, minSup in
 	return res, err
 }
 
-// member is one customer sequence inside a partition.
+// member is one customer sequence inside a partition: cs, and at, the
+// flattened position in cs of the partition key's leftmost matching point
+// (the paper's matching point M; -1 at the root, whose key is empty). The
+// scan that files a member into a partition finds that point, so every
+// scan inside the partition starts from it instead of matching the key
+// again.
 type member struct {
 	cs *seq.CustomerSeq
+	at int
+}
+
+// filing is one member filed into a bucket of a split: its index in the
+// split's member slice and the matching point of the bucket's extension
+// in its sequence. A split keeps its buckets until its last partition
+// finishes, so they hold these 8-byte filings; a partition's members are
+// built from them only while it runs (scratch.filedMembers).
+type filing struct {
+	idx, at int32
 }
 
 // engine runs the shared partition-or-DISC recursion. A parallel run
-// creates one child engine per scheduled partition (its own result set,
+// creates one child engine per scheduled partition (its own patterns,
 // statistics and counting-array scratch state) and merges the children
 // back in ascending partition-key order; ctx, sched, pool and prog are
 // shared across the engine tree.
@@ -309,7 +326,7 @@ type engine struct {
 	opts    Options
 	policy  func(level int, nrr float64) bool
 	minSup  int
-	res     *mining.Result
+	pats    []mining.PatternCount // this engine's frequent patterns; the run's root turns them into the Result
 	maxItem seq.Item
 	scr     *scratch // this engine's arena bundle; drawn lazily (see arena.go)
 	stats   Stats
@@ -333,13 +350,12 @@ func (e *engine) run(ctx context.Context, db mining.Database, minSup int) (*mini
 	}
 	e.minSup = minSup
 	e.ctx = ctx
-	e.res = mining.NewResult()
 	e.maxItem = db.MaxItem()
 	if err := e.cancelled(); err != nil {
 		return nil, err
 	}
 	if len(db) == 0 {
-		return e.res, nil
+		return mining.NewResult(), nil
 	}
 	workers := e.opts.EffectiveWorkers()
 	if e.opts.Progress != nil {
@@ -362,18 +378,28 @@ func (e *engine) run(ctx context.Context, db mining.Database, minSup int) (*mini
 		e.sched.degraded = e.budget
 		e.pool = &scratchPool{maxItem: e.maxItem, avlRec: e.avlRec, cntRec: e.cntRec}
 	}
-	members := make([]*member, len(db))
+	members := make([]member, len(db))
 	for i, cs := range db {
-		members[i] = &member{cs: cs}
+		members[i] = member{cs: cs, at: -1}
 	}
 	// The serial walk (and everything the root goroutine itself executes)
 	// is contained here; worker goroutines are contained at their spawn
 	// sites in parallel.go. Either way a panic surfaces as an
 	// *mining.InvariantError from Mine instead of crashing the process.
+	// The root is the only engine that builds a Result: a pattern mined
+	// twice panics in its Add here.
 	sp := e.obs.Span("mine")
 	e.cur = sp
-	err := mining.Contain("<root>", func() error {
-		return e.processPartition(seq.Pattern{}, members, 0)
+	var res *mining.Result
+	err := contain(seq.Pattern{}, func() error {
+		if err := e.processPartition(seq.Pattern{}, members, 0); err != nil {
+			return err
+		}
+		res = mining.NewResultSize(len(e.pats))
+		for _, pc := range e.pats {
+			res.Add(pc.Pattern, pc.Support)
+		}
+		return nil
 	})
 	sp.End()
 	e.releaseScratch()
@@ -386,18 +412,17 @@ func (e *engine) run(ctx context.Context, db mining.Database, minSup int) (*mini
 	if err != nil {
 		return nil, err
 	}
-	return e.res, nil
+	return res, nil
 }
 
 // child returns a worker engine for one scheduled partition: it shares the
-// run-wide configuration and coordination state but owns its result set,
+// run-wide configuration and coordination state but owns its patterns,
 // statistics and counting arrays.
 func (e *engine) child() *engine {
 	return &engine{
 		opts:    e.opts,
 		policy:  e.policy,
 		minSup:  e.minSup,
-		res:     mining.NewResult(),
 		maxItem: e.maxItem,
 		ctx:     e.ctx,
 		sched:   e.sched,
@@ -442,6 +467,23 @@ func site(key seq.Pattern) string {
 	return key.String()
 }
 
+// contain runs fn under mining.Contain for the partition of key, naming
+// the partition only when a panic is actually recovered: formatting a
+// pattern for each of a run's tens of thousands of partitions would cost
+// more than the containment itself.
+func contain(key seq.Pattern, fn func() error) error {
+	err := mining.Contain("", fn)
+	if ie, ok := err.(*mining.InvariantError); ok && ie.Partition == "" {
+		ie.Partition = site(key)
+	}
+	return err
+}
+
+// add records one frequent pattern of this engine.
+func (e *engine) add(p seq.Pattern, support int) {
+	e.pats = append(e.pats, mining.PatternCount{Pattern: p, Support: support})
+}
+
 // array returns the counting array for one recursion depth, from the
 // engine's arena bundle (see arena.go: parallel runs draw whole bundles
 // from a shared pool, so live scratch memory stays proportional to
@@ -454,12 +496,16 @@ func (e *engine) array(depth int) *counting.Array {
 // the customers containing key (len(key) == level). It discovers the
 // frequent (level+1)-sequences with prefix key, then either splits into
 // child partitions or runs DISC, per the policy.
-func (e *engine) processPartition(key seq.Pattern, members []*member, level int) error {
+func (e *engine) processPartition(key seq.Pattern, members []member, level int) error {
 	// Deterministic fault-injection points: a partition boundary is
-	// where an injected worker panic or cancellation lands. Both are
-	// no-ops (one pointer check) without an armed injector.
-	e.faults.Panic(faultinject.WorkerPanic, site(key))
-	e.faults.Cancel(faultinject.CtxCancel, site(key))
+	// where an injected worker panic or cancellation lands. Without an
+	// injector they cost one pointer check; the partition is named only
+	// for an injector.
+	if e.faults != nil {
+		name := site(key)
+		e.faults.Panic(faultinject.WorkerPanic, name)
+		e.faults.Cancel(faultinject.CtxCancel, name)
+	}
 	if err := e.interrupted(); err != nil {
 		return err
 	}
@@ -471,7 +517,7 @@ func (e *engine) processPartition(key seq.Pattern, members []*member, level int)
 	// previous innermost span is restored on the way out (the serial
 	// split walks partitions depth-first on one goroutine; parallel
 	// children each carry their own copy of cur from child()).
-	sp := e.span("partition", level)
+	sp := e.partitionSpan(level)
 	prev := e.cur
 	if sp.Live() {
 		e.cur = sp
@@ -481,8 +527,9 @@ func (e *engine) processPartition(key seq.Pattern, members []*member, level int)
 	// Step 1: one scan with the counting array finds the frequent
 	// extensions of key.
 	listNext, supports := e.frequentExtensions(key, members, level)
+	e.pats = slices.Grow(e.pats, len(listNext))
 	for i, p := range listNext {
-		e.res.Add(p, supports[i])
+		e.add(p, supports[i])
 	}
 	e.budget.notePatterns(len(listNext))
 	if len(listNext) == 0 {
@@ -519,7 +566,7 @@ func (e *engine) processPartition(key seq.Pattern, members []*member, level int)
 	// this) — so a γ=0 dynamic run and its forced-split shard still agree
 	// byte for byte.
 	if level == 0 && (e.ckpt != nil || e.shard != nil) {
-		return e.splitParallel(key, members, listNext, level)
+		return e.splitParallel(key, members, listNext, supports, level)
 	}
 	// The degradation ladder's first rung: past the soft-budget
 	// threshold, deeper partitions switch straight to DISC (the Levels=1
@@ -529,7 +576,7 @@ func (e *engine) processPartition(key seq.Pattern, members []*member, level int)
 		// The eager (scheduled) split handles level-0 and level-1 splits
 		// of a parallel run.
 		if len(listNext) > 1 && e.sched != nil && level < parallelSplitDepth {
-			return e.splitParallel(key, members, listNext, level)
+			return e.splitParallel(key, members, listNext, supports, level)
 		}
 		return e.split(key, members, listNext, level)
 	}
@@ -540,16 +587,24 @@ func (e *engine) processPartition(key seq.Pattern, members []*member, level int)
 // of key, processes the partitions in ascending order, and reassigns
 // customers to their next minimal contained extension after each partition
 // finishes (Steps 2.2 and 2.1.3.3 of Figure 2).
-func (e *engine) split(key seq.Pattern, members []*member, list []seq.Pattern, level int) error {
-	tab := e.scratch().levelTable(level, key.LastTNoOrZero(), list)
+func (e *engine) split(key seq.Pattern, members []member, list []seq.Pattern, level int) error {
+	s := e.scratch()
+	tab := s.levelTable(level, key.LastTNoOrZero(), list)
 	if level == 0 && e.prog != nil {
 		e.prog.begin(len(list))
 	}
-	tree := e.scratch().splitTree(level)
-	for _, mb := range members {
-		if x, no, ok := minFreqExtension(mb.cs, key, tab, 0, 0, false); ok {
-			tree.Insert(key.Extend(x, no), mb)
+	tree := s.splitTree(level)
+	// file files members[i] under its minimal frequent extension of key
+	// beyond the bound, at the extension's matching point; the walk
+	// starts from key's, members[i].at.
+	file := func(i int32, boundX seq.Item, boundNo int32, strict bool) {
+		mb := members[i]
+		if x, no, pos, ok := minFreqExtension(mb.cs, key, mb.at, tab, boundX, boundNo, strict); ok {
+			tree.Insert(key.Extend(x, no), filing{idx: i, at: int32(pos)})
 		}
+	}
+	for i := range members {
+		file(int32(i), 0, 0, false)
 	}
 	for tree.Size() > 0 {
 		if err := e.interrupted(); err != nil {
@@ -560,7 +615,7 @@ func (e *engine) split(key seq.Pattern, members []*member, list []seq.Pattern, l
 		// its size is pkey's exact support; pkey comes from the frequent
 		// list.
 		if len(bucket) >= e.minSup {
-			if err := e.processPartition(pkey, bucket, level+1); err != nil {
+			if err := e.processPartition(pkey, s.filedMembers(level, members, bucket), level+1); err != nil {
 				return err
 			}
 		}
@@ -568,10 +623,8 @@ func (e *engine) split(key seq.Pattern, members []*member, list []seq.Pattern, l
 			e.prog.step()
 		}
 		bx, bno := pkey.LastItem(), pkey.LastTNo()
-		for _, mb := range bucket {
-			if x, no, ok := minFreqExtension(mb.cs, key, tab, bx, bno, true); ok {
-				tree.Insert(key.Extend(x, no), mb)
-			}
+		for _, f := range bucket {
+			file(f.idx, bx, bno, true)
 		}
 	}
 	return nil
@@ -580,49 +633,49 @@ func (e *engine) split(key seq.Pattern, members []*member, list []seq.Pattern, l
 // minFreqExtension returns the minimal frequent extension pair (x, no) of
 // key contained in cs, restricted to pairs greater than (boundX, boundNo)
 // when strict (or at least it otherwise); boundX == 0 accepts everything.
-// Frequency of a pair is read from key's index table: a non-zero entry in
-// tab.i (the pair grows key's last itemset) or tab.s (it opens a new one).
-func minFreqExtension(cs *seq.CustomerSeq, key seq.Pattern, tab indexTable, boundX seq.Item, boundNo int32, strict bool) (seq.Item, int32, bool) {
-	var bestX seq.Item
-	var bestNo int32
-	have := false
-	consider := func(x seq.Item, no int32) {
+// at is key's matching point in cs, pos the extension's. Frequency of a
+// pair is read from key's index table: a non-zero entry in tab.i (the
+// pair grows key's last itemset) or tab.s (it opens a new one).
+func minFreqExtension(cs *seq.CustomerSeq, key seq.Pattern, at int, tab indexTable, boundX seq.Item, boundNo int32, strict bool) (x seq.Item, no int32, pos int, ok bool) {
+	// Only a strictly smaller pair replaces the best one, so pos stays at
+	// the pair's first report: its leftmost match.
+	consider := func(y seq.Item, yno int32, p int) {
 		if boundX != 0 {
-			c := seq.ComparePair(x, no, boundX, boundNo)
+			c := seq.ComparePair(y, yno, boundX, boundNo)
 			if c < 0 || (strict && c == 0) {
 				return
 			}
 		}
-		if !have || seq.ComparePair(x, no, bestX, bestNo) < 0 {
-			bestX, bestNo, have = x, no, true
+		if !ok || seq.ComparePair(y, yno, x, no) < 0 {
+			x, no, pos, ok = y, yno, p, true
 		}
 	}
 	if key.IsEmpty() {
-		for _, x := range cs.Items() {
-			if tab.s[x] != 0 {
-				consider(x, 1)
+		for p, y := range cs.Items() {
+			if tab.s[y] != 0 {
+				consider(y, 1, p)
 			}
 		}
-		return bestX, bestNo, have
+		return x, no, pos, ok
 	}
 	n := key.LastTNo()
-	kmin.EnumExtensions(cs, key,
-		func(x seq.Item) {
-			if tab.i[x] != 0 {
-				consider(x, n)
+	kmin.EnumExtensions(cs, key, at,
+		func(y seq.Item, p int) {
+			if tab.i[y] != 0 {
+				consider(y, n, p)
 			}
 		},
-		func(x seq.Item) {
-			if tab.s[x] != 0 {
-				consider(x, n+1)
+		func(y seq.Item, p int) {
+			if tab.s[y] != 0 {
+				consider(y, n+1, p)
 			}
 		})
-	return bestX, bestNo, have
+	return x, no, pos, ok
 }
 
 // frequentExtensions finds the frequent (len(key)+1)-sequences with prefix
 // key among members, in ascending order, together with their supports.
-func (e *engine) frequentExtensions(key seq.Pattern, members []*member, depth int) ([]seq.Pattern, []int) {
+func (e *engine) frequentExtensions(key seq.Pattern, members []member, depth int) ([]seq.Pattern, []int) {
 	s := e.scratch()
 	arr := s.array(depth)
 	if key.IsEmpty() {
@@ -639,9 +692,9 @@ func (e *engine) frequentExtensions(key seq.Pattern, members []*member, depth in
 	} else {
 		for ci, mb := range members {
 			cid := int32(ci)
-			kmin.EnumExtensions(mb.cs, key,
-				func(x seq.Item) { arr.TouchI(x, cid) },
-				func(x seq.Item) { arr.TouchS(x, cid) })
+			kmin.EnumExtensions(mb.cs, key, mb.at,
+				func(x seq.Item, _ int) { arr.TouchI(x, cid) },
+				func(x seq.Item, _ int) { arr.TouchS(x, cid) })
 		}
 	}
 	s.fi = arr.FrequentI(e.minSup, s.fi[:0])
@@ -682,7 +735,7 @@ func mergeExtensions(key seq.Pattern, arr *counting.Array, fi, fs []seq.Item) ([
 // means the database violates the documented canonical form (itemsets
 // sorted ascending, duplicate-free — see seq.NewCustomerSeq), and the run
 // reports that as an error rather than crashing from a worker goroutine.
-func (e *engine) reduceMembers(lambda seq.Item, members []*member, list2 []seq.Pattern) ([]*member, error) {
+func (e *engine) reduceMembers(lambda seq.Item, members []member, list2 []seq.Pattern) ([]member, error) {
 	s := e.scratch()
 	// reduceMembers runs at level 1 while the level-0 split's index table
 	// is live, so it uses the arena's dedicated one. A non-zero entry
@@ -690,40 +743,32 @@ func (e *engine) reduceMembers(lambda seq.Item, members []*member, list2 []seq.P
 	tab := s.reduceTable(list2)
 	// The caller's slice is left untouched: the parent split still walks it
 	// (with the original, unreduced sequences) for reassignment. The
-	// reduced sequences escape into deeper partitions, so out is a fresh
-	// allocation; the surviving-item staging below is not (NewCustomerSeq
-	// copies, so one flat arena buffer serves every customer in turn).
-	out := make([]*member, 0, len(members))
-	sets := s.sets[:0]
-	buf := s.redBuf
+	// reduced sequences escape into deeper partitions, so the packer copies
+	// them into fresh arrays shared by the whole partition; their staging
+	// is arena memory.
+	pk := &s.pack
+	pk.Reset()
+	ats := s.reducedAt[:0]
 	for _, mb := range members {
 		cs := mb.cs
-		minTrans := -1
-		for t := 0; t < cs.NTrans(); t++ {
-			if cs.Transaction(t).Has(lambda) {
-				minTrans = t
-				break
-			}
-		}
-		if minTrans < 0 {
+		// The minimum point is λ's leftmost occurrence, which the scan that
+		// filed cs into this partition recorded.
+		minTrans := int(cs.TNoAt(mb.at)) - 1
+		if !cs.Transaction(minTrans).Has(lambda) {
 			return nil, fmt.Errorf("core: malformed database: customer cid=%d was assigned to the partition of item %d but does not contain it (itemsets must be sorted ascending and duplicate-free; construct customer sequences with seq.NewCustomerSeq)", cs.CID, lambda)
 		}
-		sets = sets[:0]
-		if cap(buf) < cs.Len() {
-			buf = make([]seq.Item, 0, cs.Len())
-		}
-		buf = buf[:0]
+		pk.Begin(cs.CID)
 		// The removal rules of §3.1 apply to items right of the minimum
 		// point only; earlier transactions are carried over unchanged (they
 		// cannot match any pattern starting with λ, but the paper's Table 7
 		// keeps them and they are harmless).
 		for t := 0; t < minTrans; t++ {
-			sets = append(sets, cs.Transaction(t))
+			pk.AddTransaction(cs.Transaction(t))
+			pk.EndTransaction()
 		}
 		for t := minTrans; t < cs.NTrans(); t++ {
 			tr := cs.Transaction(t)
 			hasLambda := tr.Has(lambda)
-			start := len(buf)
 			for _, x := range tr {
 				keep := false
 				switch {
@@ -742,20 +787,27 @@ func (e *engine) reduceMembers(lambda seq.Item, members []*member, list2 []seq.P
 					keep = tab.s[x] != 0
 				}
 				if keep {
-					buf = append(buf, x)
+					pk.Add(x)
 				}
 			}
-			if len(buf) > start {
-				sets = append(sets, seq.Itemset(buf[start:len(buf):len(buf)]))
-			}
+			pk.EndTransaction()
 		}
-		red := seq.NewCustomerSeq(cs.CID, sets...)
-		if red.Len() < 3 {
+		if pk.Len() < 3 {
+			pk.Discard()
 			continue
 		}
-		out = append(out, &member{cs: red})
+		pk.Commit()
+		// λ is the first item the minimum point's transaction keeps, and
+		// the transactions before it are unchanged: the reduced member's
+		// matching point is where that transaction starts.
+		ats = append(ats, int(cs.TransStart(minTrans)))
 	}
-	s.sets, s.redBuf = sets, buf
+	s.reducedAt = ats
+	seqs := pk.Pack()
+	out := make([]member, len(seqs))
+	for i := range seqs {
+		out[i] = member{cs: &seqs[i], at: ats[i]}
+	}
 	return out, nil
 }
 

@@ -206,13 +206,11 @@ func TestDynamicMatchesStatic(t *testing.T) {
 // 6 with reduced customer sequences (δ=3). CID 5 drops out (too short).
 func TestReduceMembersTable7(t *testing.T) {
 	db := testutil.Table6()
-	e := &engine{minSup: 3, res: mining.NewResult(), maxItem: db.MaxItem(),
+	e := &engine{minSup: 3, maxItem: db.MaxItem(),
 		opts: DefaultOptions(), policy: func(int, float64) bool { return true }}
-	var members []*member
-	for _, cs := range db[:7] { // CIDs 1-7 form the <(a)>-partition
-		members = append(members, &member{cs: cs})
-	}
-	list2, _ := e.frequentExtensions(seq.MustParsePattern("(a)"), members, 1)
+	key := seq.MustParsePattern("(a)")
+	members := partitionMembers(key, db[:7]) // CIDs 1-7 form the <(a)>-partition
+	list2, _ := e.frequentExtensions(key, members, 1)
 	reduced, err := e.reduceMembers(1, members, list2)
 	if err != nil {
 		t.Fatal(err)
@@ -235,6 +233,11 @@ func TestReduceMembersTable7(t *testing.T) {
 	for _, mb := range reduced {
 		if mb.cs.Pattern().Letters() != want[mb.cs.CID] {
 			t.Errorf("CID %d reduced = %s, want %s", mb.cs.CID, mb.cs.Pattern().Letters(), want[mb.cs.CID])
+		}
+		// The reduced member carries <(a)>'s matching point in the
+		// reduced sequence.
+		if _, at, _ := mb.cs.LeftmostMatch(key); mb.at != at {
+			t.Errorf("CID %d reduced member at %d, leftmost matching point %d", mb.cs.CID, mb.at, at)
 		}
 	}
 }
@@ -265,7 +268,7 @@ func TestPartitionAssignmentExample31(t *testing.T) {
 		11: 5, // <(e)>-partition
 	}
 	for _, cs := range db {
-		x, no, ok := minFreqExtension(cs, seq.Pattern{}, tab, 0, 0, false)
+		x, no, _, ok := minFreqExtension(cs, seq.Pattern{}, -1, tab, 0, 0, false)
 		if !ok || no != 1 || x != wantInitial[cs.CID] {
 			t.Errorf("CID %d initial partition = item %d (%v), want %d", cs.CID, x, ok, wantInitial[cs.CID])
 		}
@@ -281,7 +284,7 @@ func TestPartitionAssignmentExample31(t *testing.T) {
 		7: 2,
 	}
 	for _, cs := range db[:7] {
-		x, _, ok := minFreqExtension(cs, seq.Pattern{}, tab, 1, 1, true)
+		x, _, _, ok := minFreqExtension(cs, seq.Pattern{}, -1, tab, 1, 1, true)
 		if !ok || x != wantNext[cs.CID] {
 			t.Errorf("CID %d next partition = item %d (%v), want %d", cs.CID, x, ok, wantNext[cs.CID])
 		}
@@ -295,5 +298,67 @@ func TestPartitionAssignmentExample31(t *testing.T) {
 	st := m.LastStats()
 	if len(st.PartitionsByLevel) < 2 || st.PartitionsByLevel[0] != 1 || st.PartitionsByLevel[1] != 7 {
 		t.Errorf("PartitionsByLevel = %v, want [1 7 ...]", st.PartitionsByLevel)
+	}
+}
+
+// TestMinFreqExtensionPosition: minFreqExtension reports, with the
+// minimal frequent extension it picks, that extension's leftmost matching
+// point in the customer — the position the split files the customer under
+// — with and without a bound, including an i-extension available only at
+// a later match of the key.
+func TestMinFreqExtensionPosition(t *testing.T) {
+	cases := []struct {
+		name, cs, key string
+		list          []string // key's frequent extensions, ascending
+		bound         string   // "" for none
+		strict        bool
+		want          string // "" when no extension qualifies
+	}{
+		{"root", "(b)(a, c)(a)", "", []string{"(a)", "(b)", "(c)"}, "", false, "(a)"},
+		{"root above a", "(b)(a, c)(a)", "", []string{"(a)", "(b)", "(c)"}, "(a)", true, "(b)"},
+		{"root from b", "(b)(a, c)(a)", "", []string{"(a)", "(b)", "(c)"}, "(b)", false, "(b)"},
+		{"root infrequent minimum", "(d)(b, c)", "", []string{"(a)", "(b)", "(c)"}, "", false, "(b)"},
+		{"s-form", "(a, c)(b)(a, c)", "(a)", []string{"(a, c)", "(a)(b)", "(a)(c)"}, "", false, "(a)(b)"},
+		{"i-form above bound", "(a, c)(b)(a, c)", "(a)", []string{"(a, c)", "(a)(b)", "(a)(c)"}, "(a)(b)", true, "(a, c)"},
+		{"s-form past i-form", "(a, c)(b)(a, c)", "(a)", []string{"(a, c)", "(a)(b)", "(a)(c)"}, "(a, c)", true, "(a)(c)"},
+		{"i-form at a later match", "(a)(b)(a, c)", "(a)", []string{"(a, c)"}, "", false, "(a, c)"},
+		{"deeper key", "(a)(b)(a, b)(c)(b, c)", "(a)(b)", []string{"(a)(b, c)", "(a)(b)(c)"}, "", false, "(a)(b, c)"},
+		{"deeper key above bound", "(a)(b)(a, b)(c)(b, c)", "(a)(b)", []string{"(a)(b, c)", "(a)(b)(c)"}, "(a)(b, c)", true, "(a)(b)(c)"},
+		{"nothing above bound", "(a)(b)(a, b)(c)(b, c)", "(a)(b)", []string{"(a)(b, c)", "(a)(b)(c)"}, "(a)(b)(c)", true, ""},
+	}
+	for _, c := range cases {
+		cs := seq.MustParseCustomerSeq(1, c.cs)
+		var key seq.Pattern
+		if c.key != "" {
+			key = seq.MustParsePattern(c.key)
+		}
+		var list []seq.Pattern
+		for _, s := range c.list {
+			list = append(list, seq.MustParsePattern(s))
+		}
+		var table indexTable
+		tab := table.fill(8, key.LastTNoOrZero(), list)
+		var bx seq.Item
+		var bno int32
+		if c.bound != "" {
+			b := seq.MustParsePattern(c.bound)
+			bx, bno = b.LastItem(), b.LastTNo()
+		}
+		_, at, _ := cs.LeftmostMatch(key)
+		x, no, pos, ok := minFreqExtension(cs, key, at, tab, bx, bno, c.strict)
+		if c.want == "" {
+			if ok {
+				t.Errorf("%s: got %s, want none", c.name, key.Extend(x, no).Letters())
+			}
+			continue
+		}
+		want := seq.MustParsePattern(c.want)
+		if !ok || !key.Extend(x, no).Equal(want) {
+			t.Errorf("%s: got (%d, %d, %v), want %s", c.name, x, no, ok, want.Letters())
+			continue
+		}
+		if _, wantPos, _ := cs.LeftmostMatch(want); pos != wantPos {
+			t.Errorf("%s: %s filed at %d, leftmost matching point %d", c.name, want.Letters(), pos, wantPos)
+		}
 	}
 }

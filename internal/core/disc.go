@@ -19,12 +19,13 @@ type discEntry struct {
 // partition shrinks below δ (Step 2.1.3.2 of Figure 2). With the bi-level
 // option each call to discover handles lengths k and k+1 in one pass over
 // the k-sorted database.
-func (e *engine) discLoop(members []*member, listPrev []seq.Pattern, startK int) error {
+func (e *engine) discLoop(members []member, listPrev []seq.Pattern, startK int) error {
 	// Copy: the slice is filtered in place below, and the caller's split
 	// still needs its bucket intact for reassignment. The copy lives in
 	// the arena (discLoop is a leaf of the partition recursion, so one
 	// buffer per engine suffices).
 	s := e.scratch()
+	clear(s.membersBuf) // the previous partition's members must not outlive it
 	s.membersBuf = append(s.membersBuf[:0], members...)
 	members = s.membersBuf
 	k := startK
@@ -70,7 +71,7 @@ func (e *engine) discLoop(members []*member, listPrev []seq.Pattern, startK int)
 // partition: a counting-array pass over it yields the frequent
 // (k+1)-sequences with k-prefix α₁ (Figure 7), so one scan of the k-sorted
 // database serves two lengths.
-func (e *engine) discover(members []*member, listPrev []seq.Pattern, k int) (listK, listK1 []seq.Pattern) {
+func (e *engine) discover(members []member, listPrev []seq.Pattern, k int) (listK, listK1 []seq.Pattern) {
 	tree := e.scratch().discTree()
 	for i, mb := range members {
 		if i&cancelCheckMask == cancelCheckMask && e.interrupted() != nil {
@@ -97,7 +98,7 @@ func (e *engine) discover(members []*member, listPrev []seq.Pattern, k int) (lis
 			// Frequent: the bucket holds exactly the supporters of α₁.
 			e.stats.FrequentHits++
 			key, bucket, _ := tree.PopMin()
-			e.res.Add(key, len(bucket))
+			e.add(key, len(bucket))
 			e.budget.notePatterns(1)
 			listK = append(listK, key)
 			if e.opts.BiLevel {
@@ -144,15 +145,15 @@ func (e *engine) bilevelCount(key seq.Pattern, bucket []discEntry, k int, listK1
 	arr := s.array(k) // depth-indexed scratch array, disjoint from the partition levels in use
 	for ci, en := range bucket {
 		cid := int32(ci)
-		kmin.EnumExtensions(en.cs, key,
-			func(x seq.Item) { arr.TouchI(x, cid) },
-			func(x seq.Item) { arr.TouchS(x, cid) })
+		kmin.EnumExtensionsOf(en.cs, key,
+			func(x seq.Item, _ int) { arr.TouchI(x, cid) },
+			func(x seq.Item, _ int) { arr.TouchS(x, cid) })
 	}
 	s.fi = arr.FrequentI(e.minSup, s.fi[:0])
 	s.fs = arr.FrequentS(e.minSup, s.fs[:0])
 	exts, sups := mergeExtensions(key, arr, s.fi, s.fs)
 	for i, p := range exts {
-		e.res.Add(p, sups[i])
+		e.add(p, sups[i])
 		listK1 = append(listK1, p)
 	}
 	e.budget.notePatterns(len(exts))

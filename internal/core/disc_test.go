@@ -7,6 +7,28 @@ import (
 	"github.com/disc-mining/disc/internal/seq"
 )
 
+// partitionMembers returns the members of key's partition among db: the
+// customers containing key, each at key's leftmost matching point (-1 for
+// the root's empty key), as the scan filing them would record it.
+func partitionMembers(key seq.Pattern, db []*seq.CustomerSeq) []member {
+	var out []member
+	for _, cs := range db {
+		if _, at, ok := cs.LeftmostMatch(key); ok {
+			out = append(out, member{cs: cs, at: at})
+		}
+	}
+	return out
+}
+
+// patternResult collects an engine's patterns into a result set.
+func patternResult(pats []mining.PatternCount) *mining.Result {
+	res := mining.NewResult()
+	for _, pc := range pats {
+		res.Add(pc.Pattern, pc.Support)
+	}
+	return res
+}
+
 // TestDiscoverGoldenTables8to10 drives the frequent k-sequence discovery
 // procedure (Figure 4) directly over the paper's <(a)(a)>-partition
 // (Tables 8-10, δ=3): the customers are the reduced sequences of Table 7
@@ -24,17 +46,19 @@ func TestDiscoverGoldenTables8to10(t *testing.T) {
 		"(a, g)(a, e, g)(g, h)",          // CID 7
 	}
 	cids := []int{1, 2, 3, 4, 6, 7}
-	var members []*member
+	var db []*seq.CustomerSeq
 	for i, body := range partition {
-		members = append(members, &member{cs: seq.MustParseCustomerSeq(cids[i], body)})
+		db = append(db, seq.MustParseCustomerSeq(cids[i], body))
 	}
+	members := partitionMembers(seq.MustParsePattern("(a)(a)"), db)
 	list3 := []seq.Pattern{
 		seq.MustParsePattern("(a)(a, e)"),
 		seq.MustParsePattern("(a)(a, g)"),
 		seq.MustParsePattern("(a)(a, h)"),
 	}
-	e := &engine{minSup: 3, res: mining.NewResult(), maxItem: 8, opts: Options{BiLevel: true}}
+	e := &engine{minSup: 3, maxItem: 8, opts: Options{BiLevel: true}}
 	listK, listK1 := e.discover(members, list3, 4)
+	res := patternResult(e.pats)
 
 	wantK := []string{"<(a)(a, e, g)>", "<(a)(a, e, h)>", "<(a)(a, g, h)>"}
 	if len(listK) != len(wantK) {
@@ -63,7 +87,7 @@ func TestDiscoverGoldenTables8to10(t *testing.T) {
 		"(a)(a, e, g, h)": 3,
 	}
 	for s, w := range wantSup {
-		sup, ok := e.res.Support(seq.MustParsePattern(s))
+		sup, ok := res.Support(seq.MustParsePattern(s))
 		if !ok || sup != w {
 			t.Errorf("support of <%s> = %d,%v, want %d", s, sup, ok, w)
 		}
@@ -90,16 +114,17 @@ func TestDiscoverWithoutBiLevel(t *testing.T) {
 		"(a, f)(a, e, g, h)",
 		"(a, g)(a, e, g)(g, h)",
 	}
-	var members []*member
+	var db []*seq.CustomerSeq
 	for i, body := range partition {
-		members = append(members, &member{cs: seq.MustParseCustomerSeq(i+1, body)})
+		db = append(db, seq.MustParseCustomerSeq(i+1, body))
 	}
+	members := partitionMembers(seq.MustParsePattern("(a)(a)"), db)
 	list3 := []seq.Pattern{
 		seq.MustParsePattern("(a)(a, e)"),
 		seq.MustParsePattern("(a)(a, g)"),
 		seq.MustParsePattern("(a)(a, h)"),
 	}
-	e := &engine{minSup: 3, res: mining.NewResult(), maxItem: 8, opts: Options{BiLevel: false}}
+	e := &engine{minSup: 3, maxItem: 8, opts: Options{BiLevel: false}}
 	listK, listK1 := e.discover(members, list3, 4)
 	if len(listK) != 3 || len(listK1) != 0 {
 		t.Fatalf("non-bilevel discover: %d 4-seqs, %d 5-seqs", len(listK), len(listK1))

@@ -18,10 +18,12 @@ import (
 	"github.com/disc-mining/disc/internal/obs"
 )
 
-// spanLevels caps the partition levels that open tracing spans: levels 0
-// through 2 are where the fan-out and the paper's partitioning decisions
-// live; deeper recursion is far too frequent to time individually.
-const spanLevels = 2
+// partitionStages names the partition span of each level that opens one:
+// levels 0 through 2 are where the fan-out and the paper's partitioning
+// decisions live; deeper recursion is far too frequent to time
+// individually. The names are constants so that opening a span formats
+// nothing.
+var partitionStages = [...]string{"partition_l0", "partition_l1", "partition_l2"}
 
 // initObs prepares the run's recorders. With no observer attached every
 // recording site below costs a nil check and nothing else.
@@ -72,13 +74,13 @@ func (e *engine) flushObs(runErr error) {
 	r.Counter("disc_counting_dedup_hits_total", "Counting-array touches suppressed by the last-customer-id check (Figure 3 dedup).").Add(e.cntRec.DedupHits.Load())
 }
 
-// span opens a tracing span for a partition level, or a zero no-op span
-// when tracing is off or the level is below the fan-out. The span is
-// parented to the engine's innermost open span, so a bound trace sees
-// the partition hierarchy.
-func (e *engine) span(stage string, level int) obs.Span {
-	if e.obs == nil || level > spanLevels {
+// partitionSpan opens a tracing span for a partition level, or a zero
+// no-op span when tracing is off or the level is below the fan-out. The
+// span is parented to the engine's innermost open span, so a bound trace
+// sees the partition hierarchy.
+func (e *engine) partitionSpan(level int) obs.Span {
+	if e.obs == nil || level >= len(partitionStages) {
 		return obs.Span{}
 	}
-	return e.obs.SpanUnder(e.cur, fmt.Sprintf("%s_l%d", stage, level))
+	return e.obs.SpanUnder(e.cur, partitionStages[level])
 }

@@ -18,6 +18,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/disc-mining/disc/internal/checkpoint"
@@ -145,10 +146,11 @@ func (p *progressTracker) finish() {
 
 // splitParallel is the scheduled counterpart of split: it computes every
 // child partition's membership upfront and runs the qualifying partitions
-// on the worker pool, each on a child engine with private result,
+// on the worker pool, each on a child engine with private patterns,
 // statistics and scratch state. Children are merged back in ascending
 // key order (list is sorted), so the outcome is deterministic and equal to
-// the serial walk's.
+// the serial walk's. supports[i] is list[i]'s support among the members
+// the caller counted (see eagerBuckets).
 //
 // It is also the checkpoint boundary: at level 0 with a Checkpointer
 // attached, partitions a prior run completed are restored instead of
@@ -162,8 +164,8 @@ func (p *progressTracker) finish() {
 // partition's error — the run drains cleanly and Mine returns an
 // *mining.InvariantError — instead of killing the process from a
 // goroutine no caller can recover.
-func (e *engine) splitParallel(key seq.Pattern, members []*member, list []seq.Pattern, level int) error {
-	buckets, err := e.eagerBuckets(key, members, list, level)
+func (e *engine) splitParallel(key seq.Pattern, members []member, list []seq.Pattern, supports []int, level int) error {
+	buckets, err := e.eagerBuckets(key, members, list, supports, level)
 	if err != nil {
 		return err
 	}
@@ -207,12 +209,12 @@ func (e *engine) splitParallel(key seq.Pattern, members []*member, list []seq.Pa
 		child := e.child()
 		children[i] = child
 		e.sched.do(&wg, func() {
-			errs[i] = mining.Contain(site(list[i]), func() error {
-				return child.processPartition(list[i], buckets[i], level+1)
+			errs[i] = contain(list[i], func() error {
+				return child.processPartition(list[i], child.scratch().filedMembers(level, members, buckets[i]), level+1)
 			})
 			child.releaseScratch()
 			if errs[i] == nil && level == 0 && e.ckpt != nil {
-				e.ckpt.record(list[i], child.res, &child.stats)
+				e.ckpt.record(list[i], child.pats, &child.stats)
 			}
 			if level == 0 && e.prog != nil {
 				e.prog.step()
@@ -224,22 +226,29 @@ func (e *engine) splitParallel(key seq.Pattern, members []*member, list []seq.Pa
 	// order before reporting any error: an interrupted run keeps the
 	// statistics of the work that did finish, and the merged order is
 	// identical whether a partition was mined now or restored.
+	n := len(e.pats)
+	for i := range list {
+		if p := restored[i]; p != nil {
+			n += len(p.Patterns)
+		} else if children[i] != nil && errs[i] == nil {
+			n += len(children[i].pats)
+		}
+	}
+	e.pats = slices.Grow(e.pats, n-len(e.pats))
 	var firstErr error
 	for i := range list {
 		if errs[i] != nil && firstErr == nil {
 			firstErr = errs[i]
 		}
 		if p := restored[i]; p != nil {
-			for _, pc := range p.Patterns {
-				e.res.Add(pc.Pattern, pc.Support)
-			}
+			e.pats = append(e.pats, p.Patterns...)
 			st := statsFromCheckpoint(&p.Stats)
 			e.stats.merge(&st)
 			continue
 		}
 		if child := children[i]; child != nil && errs[i] == nil {
 			e.stats.merge(&child.stats)
-			e.res.Merge(child.res)
+			e.pats = append(e.pats, child.pats...)
 		}
 	}
 	return firstErr
@@ -249,73 +258,90 @@ func (e *engine) splitParallel(key seq.Pattern, members []*member, list []seq.Pa
 // extension of key it contains — the transitive closure of Figure 2's
 // reassignment walk, computed upfront so the partitions can be scheduled
 // concurrently. One extension scan per member finds them all: key's index
-// table turns each contained frequent extension into its bucket, and a
-// member already appended to that bucket by the same scan is not appended
-// again. Bucket i thus collects the members containing list[i] in member
-// order, making each scheduled partition's input (and hence the merged
-// output) independent of scheduling order. The closure walk is itself
-// chunked across the pool; chunk results are concatenated in member
-// order. Chunk goroutines run under mining.Contain, so a panic in a scan
-// comes back as an error, never as a process crash. They read the
-// submitting engine's index table concurrently but strictly read-only,
-// and all of them finish (wg.Wait) before anything writes that table
-// again.
-func (e *engine) eagerBuckets(key seq.Pattern, members []*member, list []seq.Pattern, level int) ([][]*member, error) {
+// table turns each contained frequent extension into its bucket, and the
+// scan's first report of an extension, its leftmost match, files the
+// member there at the extension's matching point. Later reports of the
+// same extension in the same scan are skipped by the member's index, not
+// by its sequence: a database may hold one *seq.CustomerSeq several
+// times, and each copy is a customer of its own. Bucket i thus collects
+// the members containing list[i] in member order, making each scheduled
+// partition's input (and hence the merged output) independent of
+// scheduling order.
+//
+// supports[i] counts the members containing list[i] before the caller's
+// §3.1 reduction, which only drops customers, so it bounds bucket i's
+// size: the buckets are carved out of one allocation and filing never
+// regrows one.
+//
+// The closure walk is itself chunked across the pool; chunk results are
+// concatenated in member order. Chunk goroutines run under
+// mining.Contain, so a panic in a scan comes back as an error, never as a
+// process crash. They read the submitting engine's index table
+// concurrently but strictly read-only, and all of them finish (wg.Wait)
+// before anything writes that table again.
+func (e *engine) eagerBuckets(key seq.Pattern, members []member, list []seq.Pattern, supports []int, level int) ([][]filing, error) {
 	if e.obs != nil {
 		defer e.obs.SpanUnder(e.cur, "eager_buckets").End()
 	}
 	tab := e.scratch().levelTable(level, key.LastTNoOrZero(), list)
-	assign := func(members []*member, buckets [][]*member) {
-		var mb *member
-		add := func(idx int32) {
-			if idx == 0 {
+	// assign files members[lo:hi] into buckets; filed[b] holds the index
+	// (plus one) of the member last filed into bucket b.
+	assign := func(lo, hi int, buckets [][]filing, filed []int32) {
+		var idx int32
+		add := func(b int32, pos int) {
+			if b == 0 || filed[b-1] == idx+1 {
 				return
 			}
-			b := buckets[idx-1]
-			if len(b) == 0 || b[len(b)-1] != mb {
-				buckets[idx-1] = append(b, mb)
-			}
+			filed[b-1] = idx + 1
+			buckets[b-1] = append(buckets[b-1], filing{idx: idx, at: int32(pos)})
 		}
-		onI := func(x seq.Item) { add(tab.i[x]) }
-		onS := func(x seq.Item) { add(tab.s[x]) }
-		for _, mb = range members {
+		onI := func(x seq.Item, pos int) { add(tab.i[x], pos) }
+		onS := func(x seq.Item, pos int) { add(tab.s[x], pos) }
+		for i := lo; i < hi; i++ {
+			idx = int32(i)
+			mb := members[i]
 			if key.IsEmpty() {
-				for _, x := range mb.cs.Items() {
-					onS(x)
+				for pos, x := range mb.cs.Items() {
+					onS(x, pos)
 				}
 				continue
 			}
-			kmin.EnumExtensions(mb.cs, key, onI, onS)
+			kmin.EnumExtensions(mb.cs, key, mb.at, onI, onS)
 		}
 	}
+	total := 0
+	for _, n := range supports {
+		total += n
+	}
+	flat := make([]filing, total)
+	buckets := make([][]filing, len(list))
+	for i, n := range supports {
+		buckets[i], flat = flat[:0:n], flat[n:]
+	}
 	const chunkMin = 256 // below this, chunking overhead beats the win
-	if len(members) < chunkMin || e.sched == nil {
-		buckets := make([][]*member, len(list))
+	chunks := 1
+	if e.sched != nil {
+		chunks = min(e.sched.workers, len(members)/chunkMin)
+	}
+	if chunks < 2 {
 		// Inline on the submitting goroutine: a panic here is contained
 		// by the enclosing Contain of the worker (or of run itself).
-		assign(members, buckets)
+		assign(0, len(members), buckets, make([]int32, len(list)))
 		return buckets, nil
 	}
-	chunks := e.sched.workers
-	if max := len(members) / chunkMin; chunks > max {
-		chunks = max
-	}
 	per := (len(members) + chunks - 1) / chunks
-	parts := make([][][]*member, chunks)
+	parts := make([][][]filing, chunks)
 	errs := make([]error, chunks)
 	var wg sync.WaitGroup
 	for c := 0; c < chunks; c++ {
 		c := c
 		lo := c * per
-		hi := lo + per
-		if hi > len(members) {
-			hi = len(members)
-		}
-		part := make([][]*member, len(list))
+		hi := min(lo+per, len(members))
+		part := make([][]filing, len(list))
 		parts[c] = part
 		e.sched.do(&wg, func() {
-			errs[c] = mining.Contain(site(key), func() error {
-				assign(members[lo:hi], part)
+			errs[c] = contain(key, func() error {
+				assign(lo, hi, part, make([]int32, len(list)))
 				return nil
 			})
 		})
@@ -326,10 +352,9 @@ func (e *engine) eagerBuckets(key seq.Pattern, members []*member, list []seq.Pat
 			return nil, err
 		}
 	}
-	buckets := parts[0]
-	for c := 1; c < chunks; c++ {
-		for i := range buckets {
-			buckets[i] = append(buckets[i], parts[c][i]...)
+	for i := range buckets {
+		for _, part := range parts {
+			buckets[i] = append(buckets[i], part[i]...)
 		}
 	}
 	return buckets, nil

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/disc-mining/disc/internal/mining"
+	"github.com/disc-mining/disc/internal/prefixspan"
 	"github.com/disc-mining/disc/internal/seq"
 	"github.com/disc-mining/disc/internal/testutil"
 )
@@ -216,26 +217,32 @@ func TestProgressEvents(t *testing.T) {
 // TestEagerBucketsMatchLazySplit pins the closure property the scheduler
 // relies on: eager bucket i holds exactly the members containing list[i],
 // in member order, which is what the lazy reassignment walk eventually
-// delivers. It covers the level-0 split and a level-1 split over reduced
-// members, both inline (small partitions, no scheduler) and chunked
-// across a scheduler (at least 256 members).
+// delivers, and each entry carries list[i]'s leftmost matching point in
+// the member's sequence, where the partition's scans start. It covers the
+// level-0 split and a level-1 split over reduced members, both inline
+// (small partitions, no scheduler) and chunked across a scheduler (at
+// least 256 members).
 func TestEagerBucketsMatchLazySplit(t *testing.T) {
 	r := rand.New(rand.NewSource(74))
-	check := func(label string, members []*member, list []seq.Pattern, buckets [][]*member) {
+	check := func(label string, members []member, list []seq.Pattern, buckets [][]filing) {
 		t.Helper()
 		for b, key := range list {
-			var want []*member
-			for _, mb := range members {
-				if mb.cs.Contains(key) {
-					want = append(want, mb)
+			var want []filing
+			for i, mb := range members {
+				if _, at, ok := mb.cs.LeftmostMatch(key); ok {
+					want = append(want, filing{idx: int32(i), at: int32(at)})
 				}
 			}
 			if len(want) != len(buckets[b]) {
 				t.Fatalf("%s: bucket %s has %d members, want %d", label, key, len(buckets[b]), len(want))
 			}
 			for j := range want {
-				if want[j] != buckets[b][j] {
+				if want[j].idx != buckets[b][j].idx {
 					t.Fatalf("%s: bucket %s order differs at %d", label, key, j)
+				}
+				if want[j].at != buckets[b][j].at {
+					t.Fatalf("%s: bucket %s member %d filed at %d, leftmost matching point %d",
+						label, key, j, buckets[b][j].at, want[j].at)
 				}
 			}
 		}
@@ -251,13 +258,10 @@ func TestEagerBucketsMatchLazySplit(t *testing.T) {
 			minSup = 70
 			sched = newScheduler(4)
 		}
-		e := &engine{opts: DefaultOptions(), minSup: minSup, res: mining.NewResult(), maxItem: db.MaxItem(), sched: sched}
-		var members []*member
-		for _, cs := range db {
-			members = append(members, &member{cs: cs})
-		}
-		list, _ := e.frequentExtensions(seq.Pattern{}, members, 0)
-		buckets, err := e.eagerBuckets(seq.Pattern{}, members, list, 0)
+		e := &engine{opts: DefaultOptions(), minSup: minSup, maxItem: db.MaxItem(), sched: sched}
+		members := partitionMembers(seq.Pattern{}, db)
+		list, sups := e.frequentExtensions(seq.Pattern{}, members, 0)
+		buckets, err := e.eagerBuckets(seq.Pattern{}, members, list, sups, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,16 +270,47 @@ func TestEagerBucketsMatchLazySplit(t *testing.T) {
 		// of the key over its bucket, then the split over the reduced
 		// members.
 		for b, key := range list {
-			list1, _ := e.frequentExtensions(key, buckets[b], 1)
-			reduced, err := e.reduceMembers(key.LastItem(), buckets[b], list1)
+			bucket := e.scratch().filedMembers(0, members, buckets[b])
+			list1, sups1 := e.frequentExtensions(key, bucket, 1)
+			reduced, err := e.reduceMembers(key.LastItem(), bucket, list1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			buckets1, err := e.eagerBuckets(key, reduced, list1, 1)
+			buckets1, err := e.eagerBuckets(key, reduced, list1, sups1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check(fmt.Sprintf("db %d level 1 key %s", i, key), reduced, list1, buckets1)
 		}
 	}
+}
+
+// TestRepeatedCustomerSeq is the regression test for filing members by
+// their scan index: a database may hold one *seq.CustomerSeq several
+// times (gen.Mutate appends a copy of a customer's pointer), and every
+// copy is a customer of its own. Filing that skipped a repeat of the
+// sequence just filed would undercount every pattern the sequence holds.
+// Repeats sit next to each other and far apart, and the database is large
+// enough for eagerBuckets to chunk its level-0 closure across workers.
+func TestRepeatedCustomerSeq(t *testing.T) {
+	r := rand.New(rand.NewSource(75))
+	base := testutil.SkewedRandomDB(r, 400, 10, 6, 4)
+	var db mining.Database
+	for i, cs := range base {
+		db = append(db, cs)
+		if i%3 == 0 {
+			db = append(db, cs)
+		}
+	}
+	db = append(db, base[0], base[7], base[7])
+	const minSup = 30
+	ref, err := prefixspan.Pseudo{}.Mine(db, minSup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.CheckAgainst(t, ref, []mining.Miner{
+		&Miner{Opts: Options{BiLevel: true, Levels: 2, Workers: 4}},
+		&Miner{Opts: Options{BiLevel: true, Levels: 3, Workers: 1}},
+		&Dynamic{Opts: Options{BiLevel: true, Gamma: 0.5, Workers: 4}},
+	}, db, minSup)
 }

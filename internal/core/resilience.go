@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,11 +68,14 @@ func (c *Checkpointer) restore(key seq.Pattern) (checkpoint.Partition, bool) {
 	return p, ok
 }
 
-// record snapshots one freshly completed first-level partition.
-func (c *Checkpointer) record(key seq.Pattern, res *mining.Result, stats *Stats) {
+// record snapshots one freshly completed first-level partition. It sorts
+// the partition's patterns in place and keeps the slice, which nothing
+// writes to again (the merge only reads it).
+func (c *Checkpointer) record(key seq.Pattern, pats []mining.PatternCount, stats *Stats) {
+	slices.SortFunc(pats, func(a, b mining.PatternCount) int { return seq.Compare(a.Pattern, b.Pattern) })
 	p := checkpoint.Partition{
 		Key:      key,
-		Patterns: res.Sorted(),
+		Patterns: pats,
 		Stats:    statsToCheckpoint(stats),
 	}
 	c.mu.Lock()

@@ -11,6 +11,7 @@ import (
 
 	"github.com/disc-mining/disc/internal/faultinject"
 	"github.com/disc-mining/disc/internal/mining"
+	"github.com/disc-mining/disc/internal/seq"
 	"github.com/disc-mining/disc/internal/testutil"
 )
 
@@ -45,6 +46,27 @@ func TestWorkerPanicContained(t *testing.T) {
 		if inj.Fired(faultinject.WorkerPanic) != 1 {
 			t.Errorf("workers=%d: fault fired %d times", workers, inj.Fired(faultinject.WorkerPanic))
 		}
+	}
+}
+
+// TestInjectedPanicNamesItsPartition: the partition a contained panic
+// reports is the one it fired in, although the engine formats that name
+// only once a panic is recovered. A checkpointed single-worker run walks
+// its first-level partitions inline, in ascending key order, each under
+// its own containment, so the second partition boundary it reaches is
+// the first first-level partition's.
+func TestInjectedPanicNamesItsPartition(t *testing.T) {
+	inj := faultinject.New(9).Arm(faultinject.WorkerPanic, faultinject.Spec{AfterN: 2})
+	m := &Miner{Opts: Options{BiLevel: true, Levels: 2, Workers: 1, Checkpoint: NewCheckpointer(), Faults: inj}}
+	_, err := m.Mine(testutil.Table6(), 3)
+	var ie *mining.InvariantError
+	var fault *faultinject.Fault
+	if !errors.As(err, &ie) || !errors.As(err, &fault) {
+		t.Fatalf("Mine = %v, want an *InvariantError carrying the injected fault", err)
+	}
+	want := seq.MustParsePattern("(a)").String()
+	if fault.Site != want || ie.Partition != want {
+		t.Fatalf("fault fired at %q, contained as partition %q; want both %q", fault.Site, ie.Partition, want)
 	}
 }
 

@@ -168,25 +168,26 @@ func parseSPMF(line string, cid int) ([]*seq.CustomerSeq, error) {
 // Write renders db to w in the given format (Auto means Native).
 func Write(w io.Writer, db mining.Database, f Format) error {
 	bw := bufio.NewWriter(w)
+	var num [24]byte
 	for _, cs := range db {
 		switch f {
 		case SPMF:
 			for t := 0; t < cs.NTrans(); t++ {
 				for _, it := range cs.Transaction(t) {
-					fmt.Fprintf(bw, "%d ", it)
+					bw.Write(append(strconv.AppendInt(num[:0], int64(it), 10), ' '))
 				}
 				bw.WriteString("-1 ")
 			}
 			bw.WriteString("-2\n")
 		default:
-			fmt.Fprintf(bw, "%d:", cs.CID)
+			bw.Write(append(strconv.AppendInt(num[:0], int64(cs.CID), 10), ':'))
 			for t := 0; t < cs.NTrans(); t++ {
 				bw.WriteByte('(')
 				for i, it := range cs.Transaction(t) {
 					if i > 0 {
 						bw.WriteByte(' ')
 					}
-					fmt.Fprintf(bw, "%d", it)
+					bw.Write(strconv.AppendInt(num[:0], int64(it), 10))
 				}
 				bw.WriteByte(')')
 			}

@@ -151,19 +151,22 @@ func minConstrainedExtension(cs *seq.CustomerSeq, f seq.Pattern, y seq.Item, yno
 			best, bestNo, have = it, no, true
 		}
 	}
-	EnumExtensions(cs, f,
-		func(it seq.Item) { consider(it, n) },
-		func(it seq.Item) { consider(it, n+1) })
+	EnumExtensionsOf(cs, f,
+		func(it seq.Item, _ int) { consider(it, n) },
+		func(it seq.Item, _ int) { consider(it, n+1) })
 	return best, bestNo, have
 }
 
-// EnumExtensions reports every extension item of the pattern f contained in
-// cs: onI(z) is called for items z such that cs contains f i-extended with
-// z, and onS(z) for items such that cs contains f s-extended with z.
-// Either callback may be nil. Callbacks may fire more than once for the
-// same item; the counting array's last-CID mechanism absorbs duplicates.
-// This drives the counting-array passes of §3.1 (frequent 2- and
-// 3-sequences) and the bi-level technique of §3.2 (Figure 7).
+// EnumExtensions reports every extension item of the non-empty pattern f
+// contained in cs, walking cs from at, the flattened position of f's
+// leftmost matching point M (the matchPos of seq.LeftmostMatch). onI(z,
+// pos) is called for items z such that cs contains f i-extended with z,
+// and onS(z, pos) for items such that cs contains f s-extended with z;
+// pos is the flattened position of that occurrence of z in cs. Either
+// callback may be nil. Callbacks may fire more than once for the same
+// item; the counting array's last-CID mechanism absorbs duplicates. This
+// drives the counting-array passes of §3.1 (frequent 2- and 3-sequences),
+// the partition splits and the bi-level technique of §3.2 (Figure 7).
 //
 // One greedy walk serves both forms. s-extensions are the items of every
 // transaction after the leftmost match t_M. i-extensions are the items
@@ -171,31 +174,44 @@ func minConstrainedExtension(cs *seq.CustomerSeq, f seq.Pattern, y seq.Item, yno
 // other itemsets that contains f's last itemset; the first such
 // transaction is t_M itself (see seq.LeftmostMatch), where those items are
 // the ones right of the matching point.
-func EnumExtensions(cs *seq.CustomerSeq, f seq.Pattern, onI, onS func(seq.Item)) {
-	tM, pos, found := cs.LeftmostMatch(f)
-	if !found {
-		return
-	}
+//
+// The walk visits transactions in order, so the first report of an
+// extension is its leftmost match: its pos is the matching point of the
+// extended pattern, from which the scans of the extension's partition
+// start.
+func EnumExtensions(cs *seq.CustomerSeq, f seq.Pattern, at int, onI, onS func(z seq.Item, pos int)) {
+	tM := int(cs.TNoAt(at)) - 1
 	last := f.LastItemset()
 	lastItem := f.LastItem()
 	if onI != nil {
-		for p := pos + 1; p < int(cs.TransStart(tM+1)); p++ {
-			onI(cs.ItemAt(p))
+		for p := at + 1; p < int(cs.TransStart(tM+1)); p++ {
+			onI(cs.ItemAt(p), p)
 		}
 	}
 	for t := tM + 1; t < cs.NTrans(); t++ {
+		start := int(cs.TransStart(t))
 		tr := cs.Transaction(t)
 		if onS != nil {
-			for _, it := range tr {
-				onS(it)
+			for i, it := range tr {
+				onS(it, start+i)
 			}
 		}
 		if onI != nil && tr.Contains(last) {
-			for _, it := range tr {
+			for i, it := range tr {
 				if it > lastItem {
-					onI(it)
+					onI(it, start+i)
 				}
 			}
 		}
+	}
+}
+
+// EnumExtensionsOf is EnumExtensions for a caller that has not matched f
+// in cs yet (the DISC loop's k-sorted buckets): it finds the matching
+// point with seq.LeftmostMatch first, and reports nothing when cs does not
+// contain f.
+func EnumExtensionsOf(cs *seq.CustomerSeq, f seq.Pattern, onI, onS func(z seq.Item, pos int)) {
+	if _, at, ok := cs.LeftmostMatch(f); ok {
+		EnumExtensions(cs, f, at, onI, onS)
 	}
 }

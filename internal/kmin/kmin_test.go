@@ -304,6 +304,10 @@ func TestCKMSAprioriPointerSkip(t *testing.T) {
 	}
 }
 
+// TestEnumExtensionsMatchesContainment: EnumExtensions reports exactly the
+// extensions cs contains, and the first report of each carries the
+// matching point of the extended pattern, so the partition an extension
+// files cs under can start its scans there.
 func TestEnumExtensionsMatchesContainment(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 1500; i++ {
@@ -314,22 +318,39 @@ func TestEnumExtensionsMatchesContainment(t *testing.T) {
 			continue
 		}
 		f := subs[r.Intn(len(subs))]
-		gotI := map[seq.Item]bool{}
-		gotS := map[seq.Item]bool{}
-		EnumExtensions(cs, f, func(z seq.Item) { gotI[z] = true }, func(z seq.Item) { gotS[z] = true })
+		firstI := map[seq.Item]int{}
+		firstS := map[seq.Item]int{}
+		first := func(m map[seq.Item]int) func(seq.Item, int) {
+			return func(z seq.Item, pos int) {
+				if _, ok := m[z]; !ok {
+					m[z] = pos
+				}
+			}
+		}
+		EnumExtensionsOf(cs, f, first(firstI), first(firstS))
+		check := func(form string, ext seq.Pattern, contained bool, got map[seq.Item]int, x seq.Item) {
+			t.Helper()
+			pos, reported := got[x]
+			if reported != contained {
+				t.Fatalf("%s-ext %d of %s in %s: got %v want %v",
+					form, x, f.Letters(), cs.Pattern().Letters(), reported, contained)
+			}
+			if !reported {
+				return
+			}
+			if _, want, _ := cs.LeftmostMatch(ext); pos != want {
+				t.Fatalf("%s-ext %d of %s in %s: first report at %d, leftmost matching point %d",
+					form, x, f.Letters(), cs.Pattern().Letters(), pos, want)
+			}
+		}
 		for x := seq.Item(1); x <= 5; x++ {
-			wantS := cs.Contains(f.ExtendS(x))
-			if gotS[x] != wantS {
-				t.Fatalf("s-ext %d of %s in %s: got %v want %v",
-					x, f.Letters(), cs.Pattern().Letters(), gotS[x], wantS)
-			}
-			wantI := false
+			ext := f.ExtendS(x)
+			check("s", ext, cs.Contains(ext), firstS, x)
 			if x > f.LastItem() {
-				wantI = cs.Contains(f.ExtendI(x))
-			}
-			if gotI[x] != wantI {
-				t.Fatalf("i-ext %d of %s in %s: got %v want %v",
-					x, f.Letters(), cs.Pattern().Letters(), gotI[x], wantI)
+				ext = f.ExtendI(x)
+				check("i", ext, cs.Contains(ext), firstI, x)
+			} else {
+				check("i", f, false, firstI, x)
 			}
 		}
 	}

@@ -208,13 +208,3 @@ func (e *BudgetError) Error() string {
 
 // Is matches ErrBudgetExceeded.
 func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExceeded }
-
-// Merge adds every pattern of o into r, preserving o's insertion order.
-// The two pattern sets must be disjoint (Add panics on duplicates); the
-// parallel DISC-all scheduler merges per-partition results whose patterns
-// extend distinct partition keys, so disjointness holds by construction.
-func (r *Result) Merge(o *Result) {
-	for _, pc := range o.patterns {
-		r.Add(pc.Pattern, pc.Support)
-	}
-}

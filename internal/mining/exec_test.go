@@ -111,20 +111,6 @@ func TestAsContextMinerIdempotent(t *testing.T) {
 	}
 }
 
-func TestResultMerge(t *testing.T) {
-	a, b := NewResult(), NewResult()
-	a.Add(pat("(a)"), 3)
-	b.Add(pat("(b)"), 2)
-	b.Add(pat("(b)(c)"), 2)
-	a.Merge(b)
-	if a.Len() != 3 {
-		t.Fatalf("Len = %d", a.Len())
-	}
-	if sup, ok := a.Support(pat("(b)(c)")); !ok || sup != 2 {
-		t.Errorf("merged support = %d,%v", sup, ok)
-	}
-}
-
 // TestContain pins the panic-containment contract: fn's error passes
 // through untouched, a panic becomes an *InvariantError carrying the
 // partition, value and stack, and error panic values stay unwrappable.

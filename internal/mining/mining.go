@@ -93,6 +93,12 @@ func NewResult() *Result {
 	return &Result{byKey: map[string]int{}}
 }
 
+// NewResultSize returns an empty result set with room for n patterns, for
+// a caller that knows how many it will add.
+func NewResultSize(n int) *Result {
+	return &Result{byKey: make(map[string]int, n), patterns: make([]PatternCount, 0, n)}
+}
+
 // Add records a frequent pattern. Adding the same pattern twice is a bug in
 // the caller and panics, because every miner here computes each support
 // exactly once.

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"log/slog"
+	"sync"
 	"time"
 )
 
@@ -26,10 +27,33 @@ const StageDurationMetric = "disc_stage_duration_seconds"
 // and record start/end into the trace's flight recorder.
 //
 // A nil *Tracer returns a zero Span whose End is a no-op, so call sites
-// never branch.
+// never branch. Set Registry before the first span ends: each stage's
+// histogram is looked up in it once and kept.
 type Tracer struct {
 	Registry *Registry
 	Logger   *slog.Logger
+
+	mu     sync.Mutex
+	stages map[string]*Histogram // stage -> its histogram in Registry
+}
+
+// stageHistogram returns the stage's duration histogram, resolving it in
+// the registry on the stage's first span only: the lookup canonicalises
+// labels (allocating) under the registry lock, which an engine ending
+// tens of thousands of partition spans per run must not pay per span.
+func (t *Tracer) stageHistogram(stage string) *Histogram {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	h := t.stages[stage]
+	if h == nil {
+		h = t.Registry.Histogram(StageDurationMetric, "Duration of mining stages by span.",
+			DurationBuckets, Label{"stage", stage})
+		if t.stages == nil {
+			t.stages = map[string]*Histogram{}
+		}
+		t.stages[stage] = h
+	}
+	return h
 }
 
 // TraceContext is the identity of one trace as seen by one process:
@@ -194,9 +218,8 @@ func (s Span) End() {
 	}
 	d := time.Since(s.start)
 	if s.t != nil {
-		if r := s.t.Registry; r != nil {
-			r.Histogram(StageDurationMetric, "Duration of mining stages by span.",
-				DurationBuckets, Label{"stage", s.stage}).Observe(d.Seconds())
+		if s.t.Registry != nil {
+			s.t.stageHistogram(s.stage).Observe(d.Seconds())
 		}
 		if l := s.t.Logger; l != nil {
 			attrs := make([]slog.Attr, 0, len(s.attrs)+5)

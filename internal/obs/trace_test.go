@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -41,6 +42,36 @@ func TestSpanAggregatesIntoHistogram(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `disc_stage_duration_seconds_count{stage="partition"} 2`) {
 		t.Errorf("exposition missing stage histogram:\n%s", b.String())
+	}
+}
+
+// TestSpanStageHistogramConcurrent: spans of several stages ended from
+// many goroutines at once each land in their stage's histogram exactly
+// once, and once a stage's histogram is resolved, opening and ending a
+// span of that stage allocates nothing.
+func TestSpanStageHistogramConcurrent(t *testing.T) {
+	o := NewObserver()
+	stages := []string{"partition_l1", "partition_l2", "eager_buckets"}
+	const goroutines, perG = 8, 300 // perG a multiple of len(stages)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				o.Span(stages[(g+i)%len(stages)]).End()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, st := range stages {
+		h := o.Registry.Histogram(StageDurationMetric, "", DurationBuckets, Label{"stage", st})
+		if got := h.Count(); got != goroutines*perG/int64(len(stages)) {
+			t.Errorf("stage %s: %d spans recorded, want %d", st, got, goroutines*perG/len(stages))
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { o.Span("partition_l2").End() }); allocs != 0 {
+		t.Errorf("a span of a resolved stage allocated %.0f times, want 0", allocs)
 	}
 }
 

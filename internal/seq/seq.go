@@ -372,6 +372,20 @@ func (p Pattern) Key() string {
 	return b.String()
 }
 
+// AppendKey appends Key's encoding of p to b.
+func (p Pattern) AppendKey(b []byte) []byte {
+	prev := int32(0)
+	for i, it := range p.items {
+		open := byte(0)
+		if p.tnos[i] != prev {
+			open = 1
+		}
+		b = append(b, byte(uint32(it)>>24), byte(uint32(it)>>16), byte(uint32(it)>>8), byte(uint32(it)), open)
+		prev = p.tnos[i]
+	}
+	return b
+}
+
 // CustomerSeq is a customer sequence: the ordered list of a customer's
 // transactions, stored flattened for fast scanning. CID carries the
 // customer id from the source database.
@@ -415,6 +429,105 @@ func NewCustomerSeq(cid int, transactions ...Itemset) *CustomerSeq {
 		starts = append(starts, int32(w))
 	}
 	return &CustomerSeq{CID: cid, items: items[:w:w], tnos: tnos[:w:w], starts: starts}
+}
+
+// Packer builds many customer sequences into shared backing arrays. Stage
+// each sequence with Begin, its transactions with Add/AddTransaction and
+// EndTransaction, and keep it with Commit or drop it with Discard; Pack
+// then copies every committed sequence out with one exactly sized
+// allocation each for the items, the transaction numbers, the transaction
+// starts and the CustomerSeq headers. Staged transactions must already be
+// canonical (sorted ascending, duplicate-free): Pack does not sort. The
+// staging buffers are kept across Reset, so a reused Packer allocates only
+// in Pack.
+type Packer struct {
+	items []Item     // staged items
+	ends  []int32    // staged transaction ends, as offsets into items
+	seqs  []stagedCS // committed sequences
+	open  stagedCS   // the sequence being staged
+}
+
+// stagedCS locates one staged sequence in the Packer's buffers: its items
+// are items[item:itemEnd], its transaction ends ends[trans:transEnd].
+type stagedCS struct {
+	cid                            int
+	item, itemEnd, trans, transEnd int32
+}
+
+// Reset drops everything staged, keeping the buffers' capacity.
+func (p *Packer) Reset() {
+	p.items, p.ends, p.seqs = p.items[:0], p.ends[:0], p.seqs[:0]
+	p.open = stagedCS{}
+}
+
+// Begin starts staging the sequence of customer cid.
+func (p *Packer) Begin(cid int) {
+	p.open = stagedCS{cid: cid, item: int32(len(p.items)), trans: int32(len(p.ends))}
+}
+
+// Add appends x to the open transaction.
+func (p *Packer) Add(x Item) { p.items = append(p.items, x) }
+
+// AddTransaction appends t's items to the open transaction.
+func (p *Packer) AddTransaction(t Itemset) { p.items = append(p.items, t...) }
+
+// EndTransaction closes the open transaction; an empty one is dropped.
+func (p *Packer) EndTransaction() {
+	start := p.open.item
+	if n := int32(len(p.ends)); n > p.open.trans {
+		start = p.ends[n-1]
+	}
+	if int32(len(p.items)) > start {
+		p.ends = append(p.ends, int32(len(p.items)))
+	}
+}
+
+// Len returns the number of items staged for the open sequence.
+func (p *Packer) Len() int { return len(p.items) - int(p.open.item) }
+
+// Commit closes the open transaction and keeps the open sequence for Pack.
+func (p *Packer) Commit() {
+	p.EndTransaction()
+	p.open.itemEnd, p.open.transEnd = int32(len(p.items)), int32(len(p.ends))
+	p.seqs = append(p.seqs, p.open)
+}
+
+// Discard drops the open sequence.
+func (p *Packer) Discard() {
+	p.items, p.ends = p.items[:p.open.item], p.ends[:p.open.trans]
+}
+
+// Pack returns the committed sequences, in commit order.
+func (p *Packer) Pack() []CustomerSeq {
+	nItems, nStarts := 0, 0
+	for _, sc := range p.seqs {
+		nItems += int(sc.itemEnd - sc.item)
+		nStarts += int(sc.transEnd-sc.trans) + 1
+	}
+	items := make([]Item, nItems)
+	tnos := make([]int32, nItems)
+	starts := make([]int32, nStarts)
+	out := make([]CustomerSeq, len(p.seqs))
+	w, ws := 0, 0
+	for i, sc := range p.seqs {
+		n, nt := int(sc.itemEnd-sc.item), int(sc.transEnd-sc.trans)
+		copy(items[w:], p.items[sc.item:sc.itemEnd])
+		st := starts[ws : ws+nt+1 : ws+nt+1]
+		for t, end := range p.ends[sc.trans:sc.transEnd] {
+			st[t+1] = end - sc.item
+			for j := st[t]; j < st[t+1]; j++ {
+				tnos[w+int(j)] = int32(t + 1)
+			}
+		}
+		out[i] = CustomerSeq{CID: sc.cid, items: items[w : w+n : w+n], tnos: tnos[w : w+n : w+n], starts: st}
+		w, ws = w+n, ws+nt+1
+	}
+	return out
+}
+
+// MemBytes reports the staging buffers' footprint.
+func (p *Packer) MemBytes() int64 {
+	return int64(cap(p.items)+cap(p.ends))*4 + int64(cap(p.seqs))*24
 }
 
 // Len returns the total number of item occurrences (the paper's sequence

@@ -334,6 +334,84 @@ func TestNewCustomerSeqTable(t *testing.T) {
 	}
 }
 
+// TestPackerTable: Pack reproduces, sequence by sequence, what
+// NewCustomerSeq builds from the same canonical transactions — empty
+// transactions dropped, discarded sequences gone, commit order kept — with
+// every sequence's slices capped at their own length (an append on one can
+// never write into its neighbour), across a Reset that keeps reusing the
+// staging buffers.
+func TestPackerTable(t *testing.T) {
+	type staged struct {
+		cid     int
+		trans   []Itemset
+		discard bool
+	}
+	cases := []struct {
+		name string
+		in   []staged
+	}{
+		{"one sequence", []staged{{1, []Itemset{{1, 3}, {2}, {1, 2, 5}}, false}}},
+		{"several", []staged{
+			{4, []Itemset{{2}, {3, 4}}, false},
+			{9, []Itemset{{1}}, false},
+			{2, []Itemset{{5, 6}, {1}, {6}}, false},
+		}},
+		{"empty transactions dropped", []staged{{3, []Itemset{{}, {2}, nil, {1, 3}, {}}, false}}},
+		{"discarded in between", []staged{
+			{1, []Itemset{{1}, {2}}, false},
+			{2, []Itemset{{7, 8}, {9}}, true},
+			{3, []Itemset{{4}}, false},
+			{4, []Itemset{{5}}, true},
+		}},
+		{"all discarded", []staged{{1, []Itemset{{1}}, true}}},
+		{"nothing staged", nil},
+		{"empty sequence kept", []staged{{6, []Itemset{{}, nil}, false}, {7, []Itemset{{2}}, false}}},
+	}
+	var p Packer
+	for _, c := range cases {
+		p.Reset()
+		var want []*CustomerSeq
+		for _, st := range c.in {
+			p.Begin(st.cid)
+			for i, tr := range st.trans {
+				if i%2 == 0 {
+					p.AddTransaction(tr)
+				} else {
+					for _, x := range tr {
+						p.Add(x)
+					}
+				}
+				if i < len(st.trans)-1 {
+					p.EndTransaction() // Commit closes the last one itself
+				}
+			}
+			if n := NewCustomerSeq(st.cid, st.trans...); p.Len() != n.Len() {
+				t.Fatalf("%s: cid %d staged %d items, want %d", c.name, st.cid, p.Len(), n.Len())
+			}
+			if st.discard {
+				p.Discard()
+				continue
+			}
+			p.Commit()
+			want = append(want, NewCustomerSeq(st.cid, st.trans...))
+		}
+		got := p.Pack()
+		if len(got) != len(want) {
+			t.Fatalf("%s: packed %d sequences, want %d", c.name, len(got), len(want))
+		}
+		for i, w := range want {
+			g := &got[i]
+			if g.CID != w.CID || !slices.Equal(g.items, w.items) || !slices.Equal(g.tnos, w.tnos) || !slices.Equal(g.starts, w.starts) {
+				t.Fatalf("%s: sequence %d = %d %v %v %v, want %d %v %v %v", c.name, i,
+					g.CID, g.items, g.tnos, g.starts, w.CID, w.items, w.tnos, w.starts)
+			}
+			if cap(g.items) != len(g.items) || cap(g.tnos) != len(g.tnos) || cap(g.starts) != len(g.starts) {
+				t.Fatalf("%s: sequence %d slices not capped at their length", c.name, i)
+			}
+		}
+	}
+}
+
 func TestSuffix(t *testing.T) {
 	cs := MustParseCustomerSeq(4, "(f)(a, g)(b, f, h)(b, f)")
 	s := cs.Suffix(1, 1) // from transaction (a,g), keep all items
@@ -459,6 +537,22 @@ func TestCompareIsTotalOrder(t *testing.T) {
 		if (Compare(a, b) == 0) != (a.Key() == b.Key()) {
 			t.Fatalf("Key inconsistent with Compare for %v, %v", a, b)
 		}
+	}
+}
+
+// TestAppendKeyMatchesKey: AppendKey appends exactly Key's bytes, after
+// whatever the buffer already holds.
+func TestAppendKeyMatchesKey(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	buf := []byte("prefix")
+	for i := 0; i < 500; i++ {
+		p := randomPattern(r, 300, 8)
+		if got := p.AppendKey(buf[:6]); string(got[6:]) != p.Key() || string(got[:6]) != "prefix" {
+			t.Fatalf("AppendKey(%v) = %q, want prefix + %q", p, got, p.Key())
+		}
+	}
+	if got := (Pattern{}).AppendKey(nil); len(got) != 0 {
+		t.Fatalf("empty pattern appends %q", got)
 	}
 }
 

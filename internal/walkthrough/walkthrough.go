@@ -262,7 +262,7 @@ func sectionPartitionDiscovery(w io.Writer, _ mining.Database) error {
 	for ci, cs := range supporters {
 		seen := map[seq.Item]bool{}
 		_ = ci
-		kmin.EnumExtensions(cs, key, func(x seq.Item) {
+		kmin.EnumExtensionsOf(cs, key, func(x seq.Item, _ int) {
 			if !seen[x] {
 				seen[x] = true
 				counts[x]++
