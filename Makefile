@@ -60,12 +60,18 @@ soak:
 # (in-process fleets over the real HTTP surface), and the
 # cluster-equals-local differential grid with injected worker faults
 # (mid-shard panic rescheduled from its checkpoint, dropped
-# connections).
+# connections). The worker's shared parsed databases get ten more race
+# passes, and the shard frame decoders a fuzz smoke each: any input
+# either decodes and re-encodes to itself or fails as a typed input
+# error — never a panic.
 cluster:
 	$(GO) test -race -run 'TestShard' -count=1 ./internal/core ./internal/checkpoint
 	$(GO) test -race -count=1 ./internal/cluster
+	$(GO) test -race -run TestWorkerParsesEachDatabaseOnce -count=10 ./internal/cluster
 	$(GO) test -race -run 'TestFleet|TestParseFlagsCluster' -count=1 ./cmd/discserve
 	$(GO) test -race -run TestClusterEqualsLocalGrid -count=1 ./internal/difftest
+	$(GO) test -run '^$$' -fuzz FuzzShardRequest -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzShardResponse -fuzztime $(FUZZTIME) ./internal/cluster
 
 # Coordinator-side chaos under the race detector: the self-healing
 # suite in internal/cluster (circuit breakers, heartbeat-TTL expiry

@@ -35,12 +35,33 @@ func render(res *mining.Result) string {
 // startWorker serves one in-process worker and returns its base URL.
 func startWorker(t *testing.T, cfg WorkerConfig) string {
 	t.Helper()
-	w := NewWorker(cfg)
+	return serveWorker(t, NewWorker(cfg))
+}
+
+// serveWorker serves w and returns its base URL.
+func serveWorker(t *testing.T, w *Worker) string {
+	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /cluster/shard", w.HandleShard)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv.URL
+}
+
+// shardBase is the dispatch a coordinator would build for req split
+// into shards shards.
+func shardBase(t *testing.T, req jobs.Request, shards int) ShardRequest {
+	t.Helper()
+	var db strings.Builder
+	if err := data.Write(&db, req.DB, data.Native); err != nil {
+		t.Fatal(err)
+	}
+	return ShardRequest{
+		Algo: req.Algo, MinSup: req.MinSup,
+		BiLevel: req.Opts.BiLevel, Levels: req.Opts.Levels, Gamma: req.Opts.Gamma,
+		Shards: shards, Fingerprint: Fingerprint(core.CheckpointFingerprint(req.Algo, req.Opts, req.MinSup, req.DB)),
+		DB: db.String(),
+	}
 }
 
 func testReq(t *testing.T, algo string) jobs.Request {
@@ -199,36 +220,22 @@ func TestWorkerRejectsFingerprintMismatch(t *testing.T) {
 }
 
 func TestWorkerShedsBeyondCapacity(t *testing.T) {
-	// MaxConcurrent 1 and a worker stalled by ShardSlow: the second
-	// concurrent request must shed with kind "shed", not queue.
+	// MaxConcurrent 1 with its only slot taken: the next request must
+	// shed with kind "shed", not queue — and shed before it parses.
 	w := NewWorker(WorkerConfig{MaxConcurrent: 1})
-	// Occupy the only slot directly.
 	w.sem <- struct{}{}
 	defer func() { <-w.sem }()
-	url := func() string {
-		mux := http.NewServeMux()
-		mux.HandleFunc("POST /cluster/shard", w.HandleShard)
-		srv := httptest.NewServer(mux)
-		t.Cleanup(srv.Close)
-		return srv.URL
-	}()
-	req := testReq(t, "disc-all")
+	url := serveWorker(t, w)
 	c := New(Config{Peers: []string{url}})
-	fp := core.CheckpointFingerprint(req.Algo, req.Opts, req.MinSup, req.DB)
-	var db strings.Builder
-	if err := data.Write(&db, req.DB, data.Native); err != nil {
-		t.Fatal(err)
-	}
-	base := ShardRequest{
-		Algo: req.Algo, MinSup: req.MinSup, BiLevel: true, Levels: 2,
-		Shards: 1, Fingerprint: Fingerprint(fp), DB: db.String(),
-	}
-	resp, err := c.dispatch(context.Background(), url, base, 0, "", nil, 0)
+	resp, err := c.dispatch(context.Background(), url, shardBase(t, testReq(t, "disc-all"), 1), 0, "", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Error == nil || resp.Error.Kind != "shed" {
 		t.Fatalf("want shed error from saturated worker, got %+v", resp.Error)
+	}
+	if n := w.dbs.parses.Value(); n != 0 {
+		t.Fatalf("a shed request parsed %d databases, want none", n)
 	}
 }
 
@@ -392,16 +399,7 @@ func TestClusterSecretEnforced(t *testing.T) {
 	req := testReq(t, "disc-all")
 	want := localRun(t, req)
 	url := startWorker(t, WorkerConfig{Secret: "fleet-secret", MaxConcurrent: 8})
-
-	fp := core.CheckpointFingerprint(req.Algo, req.Opts, req.MinSup, req.DB)
-	var db strings.Builder
-	if err := data.Write(&db, req.DB, data.Native); err != nil {
-		t.Fatal(err)
-	}
-	base := ShardRequest{
-		Algo: req.Algo, MinSup: req.MinSup, BiLevel: true, Levels: 2,
-		Shards: 1, Fingerprint: Fingerprint(fp), DB: db.String(),
-	}
+	base := shardBase(t, req, 1)
 
 	// A coordinator without the secret is turned away with a typed error.
 	open := New(Config{Peers: []string{url}})
@@ -474,7 +472,7 @@ func TestBadSuccessCheckpointIsRetriedNotDone(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-				writeJSON(rw, http.StatusOK, ShardResponse{Checkpoint: ckpt})
+				writeShardResponse(rw, http.StatusOK, &ShardResponse{Checkpoint: ckpt})
 			}))
 			defer srv.Close()
 			c := New(Config{Peers: []string{srv.URL}, Shards: 1, Retries: 1,
@@ -506,14 +504,7 @@ func TestWorkerResumeRejectionMessages(t *testing.T) {
 	url := startWorker(t, WorkerConfig{})
 	req := testReq(t, "disc-all")
 	fp := core.CheckpointFingerprint(req.Algo, req.Opts, req.MinSup, req.DB)
-	var db strings.Builder
-	if err := data.Write(&db, req.DB, data.Native); err != nil {
-		t.Fatal(err)
-	}
-	base := ShardRequest{
-		Algo: req.Algo, MinSup: req.MinSup, BiLevel: true, Levels: 2,
-		Shards: 1, Fingerprint: Fingerprint(fp), DB: db.String(),
-	}
+	base := shardBase(t, req, 1)
 	c := New(Config{Peers: []string{url}})
 
 	resp, err := c.dispatch(context.Background(), url, base, 0, "this is not a checkpoint", nil, 0)

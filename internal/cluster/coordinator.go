@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -308,6 +309,13 @@ func (c *Coordinator) HandleRegister(rw http.ResponseWriter, r *http.Request) {
 	rw.WriteHeader(http.StatusNoContent)
 }
 
+// writeJSON answers a registration request.
+func writeJSON(rw http.ResponseWriter, code int, v any) {
+	rw.Header().Set("Content-Type", "application/json")
+	rw.WriteHeader(code)
+	json.NewEncoder(rw).Encode(v)
+}
+
 // Workers lists the currently eligible worker URLs, sorted: static peers
 // always, self-registered ones while their heartbeat TTL holds.
 func (c *Coordinator) Workers() []string {
@@ -541,10 +549,13 @@ func (c *Coordinator) Mine(ctx context.Context, req jobs.Request, cp *core.Check
 		shards = len(workers)
 	}
 
-	var dbText bytes.Buffer
+	// The database is rendered once per job; the ledger and every shard
+	// dispatch share this one string.
+	var dbText strings.Builder
 	if err := data.Write(&dbText, req.DB, data.Native); err != nil {
 		return nil, fmt.Errorf("cluster: encoding database: %w", err)
 	}
+	db := dbText.String()
 	fp := core.CheckpointFingerprint(req.Algo, req.Opts, req.MinSup, req.DB)
 
 	// mctx lets an injected coordinator crash stop the job's other shard
@@ -553,7 +564,7 @@ func (c *Coordinator) Mine(ctx context.Context, req jobs.Request, cp *core.Check
 	defer mcancel()
 	run := &jobRun{abort: mcancel}
 	var doneShards map[int]bool
-	run.led, shards, doneShards = c.openLedger(req, fp, shards, dbText.String())
+	run.led, shards, doneShards = c.openLedger(req, fp, shards, db)
 	budget := int64(c.cfg.HedgeBudget)
 	if budget == 0 {
 		budget = int64(shards)
@@ -592,7 +603,7 @@ func (c *Coordinator) Mine(ctx context.Context, req jobs.Request, cp *core.Check
 		Algo: req.Algo, MinSup: req.MinSup,
 		BiLevel: req.Opts.BiLevel, Levels: req.Opts.Levels, Gamma: req.Opts.Gamma,
 		Workers: req.Opts.Workers,
-		Shards:  shards, Fingerprint: fmt.Sprintf("%016x", fp), DB: dbText.String(),
+		Shards:  shards, Fingerprint: Fingerprint(fp), DB: db,
 	}
 
 	errs := make([]error, shards)
@@ -757,7 +768,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, base ShardRequest, idx i
 	type reply struct {
 		url   string
 		parts []checkpoint.Partition
-		spans []obs.SpanRecord
+		resp  *ShardResponse // nil when the attempt got no reply
 		err   error
 		kind  failKind
 	}
@@ -779,7 +790,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, base ShardRequest, idx i
 				return
 			}
 			parts, err := vetResponse(resp, url, fp)
-			replies <- reply{url: url, parts: parts, spans: resp.Spans, err: err, kind: failWorker}
+			replies <- reply{url: url, parts: parts, resp: resp, err: err, kind: failWorker}
 		}()
 	}
 	launch(primary)
@@ -825,7 +836,10 @@ func (c *Coordinator) attemptShard(ctx context.Context, base ShardRequest, idx i
 			if len(r.parts) > 0 {
 				acc.fold(r.parts, cp)
 			}
-			tc.AddRemoteSpans(r.spans)
+			if r.resp != nil {
+				tc.AddRemoteSpans(r.resp.Spans)
+				tc.AddRemoteDropped(r.resp.Dropped)
+			}
 			if r.err == nil {
 				br := c.breakerFor(r.url)
 				pre := br.current()
@@ -929,15 +943,19 @@ func encodeResume(base ShardRequest, idx int, fp uint64, acc *shardAcc) (string,
 	})
 }
 
-// dispatch performs one shard attempt against one worker. A bound
-// trace rides along as headers: the trace ID and the coordinator-side
-// shard span the worker should parent its spans under.
+// maxResponseBytes caps one worker reply.
+const maxResponseBytes = 1 << 30
+
+// dispatch performs one shard attempt against one worker. The request
+// frame streams the job's database string as it is, with no copy per
+// dispatch. A bound trace rides along as headers: the trace ID and the
+// coordinator-side shard span the worker should parent its spans under.
 func (c *Coordinator) dispatch(ctx context.Context, url string, base ShardRequest,
 	idx int, resume string, tc *obs.TraceContext, spid obs.SpanID) (*ShardResponse, error) {
 	sreq := base
 	sreq.Shard = idx
 	sreq.Resume = resume
-	body, err := json.Marshal(&sreq)
+	body, err := encodeShardRequest(&sreq)
 	if err != nil {
 		return nil, err
 	}
@@ -946,11 +964,15 @@ func (c *Coordinator) dispatch(ctx context.Context, url string, base ShardReques
 	defer cancel()
 	stop := c.watchExpiry(actx, cancel, url)
 	defer stop()
-	hreq, err := http.NewRequestWithContext(actx, http.MethodPost, url+"/cluster/shard", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(actx, http.MethodPost, url+"/cluster/shard", body.Reader())
 	if err != nil {
 		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.ContentLength = body.Len()
+	// GetBody lets the transport resend the frame when a kept-alive
+	// connection turns out to be dead before anything was written.
+	hreq.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(body.Reader()), nil }
+	hreq.Header.Set("Content-Type", shardContentType)
 	setSecret(hreq, c.cfg.Secret)
 	if tc != nil {
 		hreq.Header.Set(traceIDHeader, tc.TraceID().String())
@@ -963,14 +985,16 @@ func (c *Coordinator) dispatch(ctx context.Context, url string, base ShardReques
 		return nil, err
 	}
 	defer hres.Body.Close()
-	var resp ShardResponse
-	if err := json.NewDecoder(io.LimitReader(hres.Body, 1<<30)).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("decoding worker response (HTTP %d): %w", hres.StatusCode, err)
+	resp, err := decodeShardResponse(hres.Body, maxResponseBytes)
+	if err != nil {
+		// A reply that is not a frame is a transport failure, whatever
+		// typed error the decoder phrased it as.
+		return nil, fmt.Errorf("decoding worker response (HTTP %d): %v", hres.StatusCode, err)
 	}
 	if resp.Error == nil && hres.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("worker answered HTTP %d", hres.StatusCode)
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // watchExpiry cancels an in-flight dispatch the moment the worker's

@@ -18,12 +18,13 @@ import (
 
 // fleetTimeline runs one job through a manager whose Mine hook is a
 // two-worker coordinator fleet and returns the assembled timeline.
-func fleetTimeline(t *testing.T, nodeA, nodeB string) *obs.Timeline {
+// workerEvents is each worker's TraceEvents (0 = the default).
+func fleetTimeline(t *testing.T, workerEvents int, nodeA, nodeB string) *obs.Timeline {
 	t.Helper()
 	req := testReq(t, "disc-all")
 	req.Opts.Workers = 1
-	a := startWorker(t, WorkerConfig{Node: nodeA, TraceSeed: 1, MaxConcurrent: 8})
-	b := startWorker(t, WorkerConfig{Node: nodeB, TraceSeed: 2, MaxConcurrent: 8})
+	a := startWorker(t, WorkerConfig{Node: nodeA, TraceSeed: 1, MaxConcurrent: 8, TraceEvents: workerEvents})
+	b := startWorker(t, WorkerConfig{Node: nodeB, TraceSeed: 2, MaxConcurrent: 8, TraceEvents: workerEvents})
 	coord := New(Config{Peers: []string{a, b}, Shards: 2, ShardTimeout: time.Minute,
 		HedgeQuantile: 0}) // hedging off: one dispatch per shard, a deterministic span set
 	m := jobs.NewManager(jobs.Config{
@@ -61,7 +62,7 @@ func fleetTimeline(t *testing.T, nodeA, nodeB string) *obs.Timeline {
 // the same timeline, and the coordinator's shard spans bracket the
 // worker-side children they dispatched.
 func TestFleetTimelineAcceptance(t *testing.T) {
-	tl := fleetTimeline(t, "w1", "w2")
+	tl := fleetTimeline(t, 0, "w1", "w2")
 
 	if tl.TraceID == "" || len(tl.TraceID) != 16 {
 		t.Fatalf("timeline lacks a trace ID: %+v", tl)
@@ -142,7 +143,7 @@ func TestFleetTimelineGolden(t *testing.T) {
 	// Both workers share one node name: which of the two symmetric
 	// workers mines which shard is a scheduling race, so the normalized
 	// form must not encode it.
-	tl := fleetTimeline(t, "worker", "worker")
+	tl := fleetTimeline(t, 0, "worker", "worker")
 	got := normalizeTimeline(t, tl)
 
 	golden := filepath.Join("testdata", "timeline.golden")
@@ -160,6 +161,17 @@ func TestFleetTimelineGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("normalized timeline mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestWorkerDropsReachTimeline: spans a worker's recorder evicted never
+// reach the coordinator, so the timeline must still count them. Workers
+// with a tiny recorder under a roomy coordinator one leave nothing else
+// to drop.
+func TestWorkerDropsReachTimeline(t *testing.T) {
+	tl := fleetTimeline(t, 8, "w1", "w2")
+	if tl.Dropped == 0 {
+		t.Fatalf("workers with an 8-entry recorder dropped spans, but the timeline reports dropped_events 0 (%d spans)", len(tl.Spans))
 	}
 }
 

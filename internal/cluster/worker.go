@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/disc-mining/disc/internal/core"
@@ -65,6 +65,53 @@ type Worker struct {
 	ids    *obs.IDSource           // span ID minting for propagated traces
 	served map[string]*obs.Counter // outcome -> counter
 	dur    *obs.Histogram
+	dbs    *dbTable
+}
+
+// dbTable holds the databases this worker parsed last, keyed by their
+// text, so the shards of one job that reach this worker — together, or
+// later as retries and hedges — parse its database once. It keeps at
+// most MaxConcurrent entries, the number of databases the worker may
+// mine at once anyway, and evicts the least recently used. Parsing is
+// single-flight: a request for a database another request is parsing
+// waits for that parse. Entries are shared read-only by concurrent shard
+// runs; the engine never writes a customer sequence.
+type dbTable struct {
+	mu      sync.Mutex
+	size    int
+	entries []*dbEntry // least recently used first
+	parses  *obs.Counter
+}
+
+type dbEntry struct {
+	text  string
+	ready chan struct{} // closed once db and err are set
+	db    mining.Database
+	err   error
+}
+
+// get returns text parsed as a data.Native database.
+func (t *dbTable) get(text string) (mining.Database, error) {
+	t.mu.Lock()
+	for i, e := range t.entries {
+		if e.text == text {
+			copy(t.entries[i:], t.entries[i+1:])
+			t.entries[len(t.entries)-1] = e
+			t.mu.Unlock()
+			<-e.ready
+			return e.db, e.err
+		}
+	}
+	e := &dbEntry{text: text, ready: make(chan struct{})}
+	if len(t.entries) == t.size {
+		t.entries = append(t.entries[:0], t.entries[1:]...)
+	}
+	t.entries = append(t.entries, e)
+	t.mu.Unlock()
+	t.parses.Inc()
+	e.db, e.err = data.Read(strings.NewReader(text), data.Native)
+	close(e.ready)
+	return e.db, e.err
 }
 
 // NewWorker returns a worker ready to serve shard requests.
@@ -96,6 +143,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 	w.dur = r.Histogram("disc_cluster_worker_shard_seconds",
 		"Wall time of one shard mined by this worker.", obs.DurationBuckets)
+	w.dbs = &dbTable{size: cfg.MaxConcurrent,
+		parses: r.Counter("disc_cluster_worker_db_parses_total",
+			"Shard databases this worker parsed; a shard whose database the worker parsed recently reuses it.")}
 	return w
 }
 
@@ -105,13 +155,17 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // worked, the mining did not, and the coordinator needs both facts.
 func (w *Worker) HandleShard(rw http.ResponseWriter, r *http.Request) {
 	if !authorized(w.cfg.Secret, r) {
-		w.reject(rw, http.StatusUnauthorized, "auth", "missing or wrong cluster secret")
+		w.reject(rw, http.StatusUnauthorized, &jobs.WireError{Kind: "auth", Message: "missing or wrong cluster secret"})
 		return
 	}
-	var req ShardRequest
-	body := http.MaxBytesReader(rw, r.Body, w.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		w.reject(rw, http.StatusBadRequest, "input", fmt.Sprintf("decoding shard request: %v", err))
+	if ct := r.Header.Get("Content-Type"); ct != shardContentType {
+		w.reject(rw, http.StatusBadRequest, inputError(
+			"shard requests must be encoded as %s, got %q (every fleet role must run the same build)", shardContentType, ct))
+		return
+	}
+	req, err := decodeShardRequest(http.MaxBytesReader(rw, r.Body, w.cfg.MaxBodyBytes), w.cfg.MaxBodyBytes)
+	if err != nil {
+		w.reject(rw, http.StatusBadRequest, jobs.TypedWireError(err))
 		return
 	}
 	site := fmt.Sprintf("shard-%d/%d", req.Shard, req.Shards)
@@ -139,39 +193,41 @@ func (w *Worker) HandleShard(rw http.ResponseWriter, r *http.Request) {
 	}
 
 	if !shardable(req.Algo) {
-		w.reject(rw, http.StatusBadRequest, "input", fmt.Sprintf("algorithm %q is not shardable", req.Algo))
+		w.reject(rw, http.StatusBadRequest, inputError("algorithm %q is not shardable", req.Algo))
 		return
 	}
 	if req.Shards < 1 || req.Shard < 0 || req.Shard >= req.Shards {
-		w.reject(rw, http.StatusBadRequest, "input", fmt.Sprintf("shard %d of %d out of range", req.Shard, req.Shards))
-		return
-	}
-	db, err := data.Read(strings.NewReader(req.DB), data.Native)
-	if err != nil {
-		w.reject(rw, http.StatusBadRequest, "input", fmt.Sprintf("decoding shard database: %v", err))
+		w.reject(rw, http.StatusBadRequest, inputError("shard %d of %d out of range", req.Shard, req.Shards))
 		return
 	}
 	fp, err := strconv.ParseUint(req.Fingerprint, 16, 64)
 	if err != nil {
-		w.reject(rw, http.StatusBadRequest, "input", fmt.Sprintf("bad fingerprint %q", req.Fingerprint))
+		w.reject(rw, http.StatusBadRequest, inputError("bad fingerprint %q", req.Fingerprint))
+		return
+	}
+
+	// Admission control before any parsing: shed beyond MaxConcurrent so a
+	// saturated worker answers immediately and the coordinator reschedules
+	// elsewhere.
+	select {
+	case w.sem <- struct{}{}:
+		defer func() { <-w.sem }()
+	default:
+		w.reject(rw, http.StatusTooManyRequests, &jobs.WireError{Kind: "shed", Message: "worker at shard capacity"})
+		return
+	}
+
+	db, err := w.dbs.get(req.DB)
+	if err != nil {
+		w.reject(rw, http.StatusBadRequest, inputError("decoding shard database: %v", err))
 		return
 	}
 	// The worker recomputes the job identity from what it actually
 	// decoded: a corrupted database or mismatched options cannot silently
 	// mine the wrong job into a checkpoint the coordinator will trust.
 	if got := core.CheckpointFingerprint(req.Algo, req.Options(), req.MinSup, db); got != fp {
-		w.reject(rw, http.StatusBadRequest, "input",
-			fmt.Sprintf("fingerprint mismatch: request says %016x, decoded job is %016x", fp, got))
-		return
-	}
-
-	// Admission control: shed beyond MaxConcurrent so a saturated worker
-	// answers immediately and the coordinator reschedules elsewhere.
-	select {
-	case w.sem <- struct{}{}:
-		defer func() { <-w.sem }()
-	default:
-		w.reject(rw, http.StatusTooManyRequests, "shed", "worker at shard capacity")
+		w.reject(rw, http.StatusBadRequest,
+			inputError("fingerprint mismatch: request says %016x, decoded job is %016x", fp, got))
 		return
 	}
 
@@ -179,12 +235,12 @@ func (w *Worker) HandleShard(rw http.ResponseWriter, r *http.Request) {
 	if req.Resume != "" {
 		f, err := decodeCheckpoint(req.Resume)
 		if err != nil {
-			w.reject(rw, http.StatusBadRequest, "input", fmt.Sprintf("bad resume checkpoint: %v", err))
+			w.reject(rw, http.StatusBadRequest, inputError("bad resume checkpoint: %v", err))
 			return
 		}
 		if f.Fingerprint != fp {
-			w.reject(rw, http.StatusBadRequest, "input",
-				fmt.Sprintf("resume checkpoint fingerprint %016x does not match job %016x", f.Fingerprint, fp))
+			w.reject(rw, http.StatusBadRequest,
+				inputError("resume checkpoint fingerprint %016x does not match job %016x", f.Fingerprint, fp))
 			return
 		}
 		cp = core.ResumeFrom(f)
@@ -204,12 +260,18 @@ func (w *Worker) HandleShard(rw http.ResponseWriter, r *http.Request) {
 	// worker's root span parents under the coordinator's shard span, the
 	// engine's spans parent under the worker's root span, and every
 	// completed record travels back in the response for the coordinator
-	// to fold into the job's timeline.
+	// to fold into the job's timeline. Every shard of the job lands in
+	// that one coordinator recorder, so a shard gets its share of this
+	// worker's recorder budget rather than all of it.
 	var tc *obs.TraceContext
 	var wsp obs.Span
 	if trace, ok := obs.ParseTraceID(r.Header.Get(traceIDHeader)); ok {
 		parent, _ := obs.ParseSpanID(r.Header.Get(parentSpanHeader))
-		tc = obs.NewTraceContext(trace, w.cfg.Node, w.ids, obs.NewRecorder(w.cfg.TraceEvents))
+		events := w.cfg.TraceEvents
+		if events <= 0 {
+			events = obs.DefaultRecorderEvents
+		}
+		tc = obs.NewTraceContext(trace, w.cfg.Node, w.ids, obs.NewRecorder(max(events/req.Shards, 1)))
 		wsp = w.obs.WithTrace(tc, parent).Span("shard_worker")
 		opts.Obs = w.obs.WithTrace(tc, wsp.ID())
 	}
@@ -229,7 +291,7 @@ func (w *Worker) HandleShard(rw http.ResponseWriter, r *http.Request) {
 	file := cp.File(req.Algo, req.MinSup, fp)
 	file.Shard, file.ShardCount = req.Shard, req.Shards
 	text, encErr := encodeCheckpoint(file)
-	resp := ShardResponse{Checkpoint: text, Spans: tc.Recorder().Spans()}
+	resp := ShardResponse{Checkpoint: text, Spans: tc.Recorder().Spans(), Dropped: tc.Recorder().Dropped()}
 	switch {
 	case errors.Is(mineErr, context.Canceled) || errors.Is(mineErr, context.DeadlineExceeded):
 		// The coordinator canceled us (hedge lost, TTL expiry, shard
@@ -250,7 +312,7 @@ func (w *Worker) HandleShard(rw http.ResponseWriter, r *http.Request) {
 		w.served["done"].Inc()
 		w.cfg.Logf("cluster: %s done: %d partitions (%d restored)", site, cp.Completed(), cp.Restored())
 	}
-	writeJSON(rw, http.StatusOK, resp)
+	writeShardResponse(rw, http.StatusOK, &resp)
 }
 
 // minerFor builds the shardable algorithms directly — the registry
@@ -265,15 +327,9 @@ func minerFor(algo string, opts core.Options) (mining.Miner, error) {
 	return nil, fmt.Errorf("cluster: algorithm %q is not shardable", algo)
 }
 
-func (w *Worker) reject(rw http.ResponseWriter, code int, kind, msg string) {
-	if ctr, ok := w.served[kind]; ok && kind != "done" && kind != "failed" {
+func (w *Worker) reject(rw http.ResponseWriter, code int, we *jobs.WireError) {
+	if ctr, ok := w.served[we.Kind]; ok && we.Kind != "done" && we.Kind != "failed" {
 		ctr.Inc()
 	}
-	writeJSON(rw, code, ShardResponse{Error: &jobs.WireError{Kind: kind, Message: msg}})
-}
-
-func writeJSON(rw http.ResponseWriter, code int, v any) {
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(code)
-	json.NewEncoder(rw).Encode(v)
+	writeShardResponse(rw, code, &ShardResponse{Error: we})
 }

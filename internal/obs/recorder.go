@@ -198,6 +198,17 @@ func (r *Recorder) Dropped() uint64 {
 	return r.spans.dropped + r.events.dropped
 }
 
+// addDropped counts n span entries lost before they reached this
+// recorder (a remote recorder's evictions). Nil-safe.
+func (r *Recorder) addDropped(n uint64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.spans.dropped += n
+	r.mu.Unlock()
+}
+
 // Len reports the number of retained entries. Nil-safe.
 func (r *Recorder) Len() int {
 	if r == nil {

@@ -125,6 +125,7 @@ func TestRecorderNilSafe(t *testing.T) {
 	var tc *TraceContext
 	tc.Event("x", 0, nil)
 	tc.AddRemoteSpans([]SpanRecord{{}})
+	tc.AddRemoteDropped(3)
 	if tc.Timeline("j") != nil {
 		t.Fatal("nil trace context must yield nil timeline")
 	}
@@ -212,6 +213,16 @@ func TestAddRemoteSpansFiltersForeignTrace(t *testing.T) {
 	}
 	if !sp.Start.Equal(start) || sp.DurNS != int64(time.Second) {
 		t.Fatalf("remote timestamps not preserved: %+v", sp)
+	}
+}
+
+func TestAddRemoteDroppedCountsInTimeline(t *testing.T) {
+	src := NewIDSource(5)
+	tc := NewTraceContext(src.TraceID(), "coord", src, NewRecorder(16))
+	tc.AddRemoteDropped(7)
+	tc.AddRemoteDropped(0)
+	if got := tc.Timeline("j").Dropped; got != 7 {
+		t.Fatalf("dropped_events = %d, want the 7 a remote recorder evicted", got)
 	}
 }
 

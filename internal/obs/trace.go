@@ -176,6 +176,16 @@ func (tc *TraceContext) AddRemoteSpans(spans []SpanRecord) {
 	}
 }
 
+// AddRemoteDropped counts n entries that another process's recorder
+// evicted before it shipped its span records here, so the timeline's
+// dropped_events covers history lost anywhere in the fleet.
+func (tc *TraceContext) AddRemoteDropped(n uint64) {
+	if tc == nil {
+		return
+	}
+	tc.rec.addDropped(n)
+}
+
 // Span is one timed region. It is a value type: starting and ending a
 // span allocates nothing beyond what slog itself needs when a Logger is
 // configured and what the flight recorder needs when a trace is bound.
