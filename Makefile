@@ -8,8 +8,11 @@ all: check
 build:
 	$(GO) build ./...
 
+# vet also fails on formatting drift: gofmt -l must list no file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

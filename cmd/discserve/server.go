@@ -330,8 +330,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}{
 		Ready: s.ready.Load(), Draining: s.mgr.Draining(),
 		DegradedDurability: degraded, Storage: storage,
-		Metrics:      s.mgr.Metrics(),
-		QueueDepth:   s.mgr.QueueDepth(), JobsByState: states,
+		Metrics:    s.mgr.Metrics(),
+		QueueDepth: s.mgr.QueueDepth(), JobsByState: states,
 		ActiveTraces: s.mgr.ActiveTraces(),
 		Build: struct {
 			Version string `json:"version"`

@@ -537,7 +537,7 @@ func (c *Coordinator) Mine(ctx context.Context, req jobs.Request, cp *core.Check
 			// A ledger left behind by a clustered incarnation of this job
 			// is satisfied by the local result; retire it so restarts stop
 			// resubmitting a finished job.
-			fp := core.CheckpointFingerprint(req.Algo, req.Opts, req.MinSup, req.DB)
+			fp := req.JobFingerprint()
 			if c.cfg.FS.Remove(LedgerPath(c.cfg.LedgerDir, fp)) == nil {
 				c.cfg.Logf("cluster: job %016x finished locally; its shard ledger is retired", fp)
 			}
@@ -556,7 +556,7 @@ func (c *Coordinator) Mine(ctx context.Context, req jobs.Request, cp *core.Check
 		return nil, fmt.Errorf("cluster: encoding database: %w", err)
 	}
 	db := dbText.String()
-	fp := core.CheckpointFingerprint(req.Algo, req.Opts, req.MinSup, req.DB)
+	fp := req.JobFingerprint()
 
 	// mctx lets an injected coordinator crash stop the job's other shard
 	// goroutines the way a real process death would.

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/disc-mining/disc/internal/core"
 	"github.com/disc-mining/disc/internal/jobs"
 	"github.com/disc-mining/disc/internal/obs"
 	"github.com/disc-mining/disc/internal/testutil"
@@ -177,8 +178,8 @@ func FuzzShardResponse(f *testing.F) {
 }
 
 // TestWorkerParsesEachDatabaseOnce: shards of one job sent to one worker
-// at once share one parse and mine exactly what separately parsed runs
-// mine, and the table keeps the MaxConcurrent most recently used
+// at once share one parse and one fingerprint and mine exactly what
+// separately parsed runs mine, and the table keeps the MaxConcurrent most recently used
 // databases. make cluster runs it with -race -count=10: the shards mine
 // one shared database concurrently.
 func TestWorkerParsesEachDatabaseOnce(t *testing.T) {
@@ -218,6 +219,9 @@ func TestWorkerParsesEachDatabaseOnce(t *testing.T) {
 	if n := w.dbs.parses.Value(); n != 1 {
 		t.Fatalf("%d concurrent shards of one job parsed its database %d times, want once", shards, n)
 	}
+	if n := fingerprintsHeld(w); n != 1 {
+		t.Fatalf("%d concurrent shards of one job left %d fingerprints, want one", shards, n)
+	}
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("shard %d mined from the shared database differs from a separately parsed run", i)
@@ -245,6 +249,62 @@ func TestWorkerParsesEachDatabaseOnce(t *testing.T) {
 			t.Fatalf("step %d (database %s): %d parses, want %d", i, step.db, n, step.parses)
 		}
 	}
+}
+
+// TestWorkerFingerprintsEachDatabaseOnce: a worker remembers the job
+// fingerprint it derived for a parsed database, per algorithm, options
+// and δ, and still checks every request against it. A wrong fingerprint
+// for a remembered database is refused. The same text under other
+// options gets its own fingerprint, which refuses the first options'.
+func TestWorkerFingerprintsEachDatabaseOnce(t *testing.T) {
+	ctx := context.Background()
+	c := New(Config{})
+	w := NewWorker(WorkerConfig{})
+	url := serveWorker(t, w)
+	req := testReq(t, "disc-all")
+	base := shardBase(t, req, 1)
+	other := req
+	other.Opts.Levels = 1
+	ob := shardBase(t, other, 1)
+	if ob.DB != base.DB || ob.Fingerprint == base.Fingerprint {
+		t.Fatal("the two requests must share their text and differ in fingerprint")
+	}
+	wrong := base
+	wrong.Fingerprint = Fingerprint(^core.CheckpointFingerprint(req.Algo, req.Opts, req.MinSup, req.DB))
+	mixed := ob
+	mixed.Fingerprint = base.Fingerprint
+
+	for i, step := range []struct {
+		req    ShardRequest
+		refuse bool
+	}{{base, false}, {wrong, true}, {base, false}, {ob, false}, {mixed, true}, {ob, false}} {
+		resp, err := c.dispatch(ctx, url, step.req, 0, "", nil, 0)
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		refused := resp.Error != nil && resp.Error.Kind == "input" &&
+			strings.Contains(resp.Error.Message, "fingerprint mismatch")
+		if refused != step.refuse || (!refused && resp.Error != nil) {
+			t.Fatalf("step %d: got error %+v, want refused=%t", i, resp.Error, step.refuse)
+		}
+	}
+	if n := w.dbs.parses.Value(); n != 1 {
+		t.Fatalf("one text parsed %d times, want once", n)
+	}
+	if n := fingerprintsHeld(w); n != 2 {
+		t.Fatalf("the parsed database holds %d fingerprints, want 2 (one per options)", n)
+	}
+}
+
+// fingerprintsHeld reports how many job fingerprints the worker's most
+// recently used database entry holds.
+func fingerprintsHeld(w *Worker) int {
+	w.dbs.mu.Lock()
+	e := w.dbs.entries[len(w.dbs.entries)-1]
+	w.dbs.mu.Unlock()
+	e.fpMu.Lock()
+	defer e.fpMu.Unlock()
+	return len(e.fps)
 }
 
 // TestWorkerRefusesJSONRequests: a shard request in the encoding of an

@@ -70,12 +70,13 @@ type Worker struct {
 
 // dbTable holds the databases this worker parsed last, keyed by their
 // text, so the shards of one job that reach this worker — together, or
-// later as retries and hedges — parse its database once. It keeps at
-// most MaxConcurrent entries, the number of databases the worker may
-// mine at once anyway, and evicts the least recently used. Parsing is
-// single-flight: a request for a database another request is parsing
-// waits for that parse. Entries are shared read-only by concurrent shard
-// runs; the engine never writes a customer sequence.
+// later as retries and hedges — parse its database once, and fingerprint
+// it once. It keeps at most MaxConcurrent entries, the number of
+// databases the worker may mine at once anyway, and evicts the least
+// recently used. Parsing is single-flight: a request for a database
+// another request is parsing waits for that parse. Entries are shared
+// read-only by concurrent shard runs; the engine never writes a customer
+// sequence.
 type dbTable struct {
 	mu      sync.Mutex
 	size    int
@@ -88,10 +89,19 @@ type dbEntry struct {
 	ready chan struct{} // closed once db and err are set
 	db    mining.Database
 	err   error
+
+	fpMu sync.Mutex
+	fps  map[fpKey]uint64 // job fingerprints of db computed so far
 }
 
-// get returns text parsed as a data.Native database.
-func (t *dbTable) get(text string) (mining.Database, error) {
+// fpKey is what a job fingerprint depends on besides the database.
+type fpKey struct {
+	algo, opts string // opts: core.OptionsSignature
+	minSup     int
+}
+
+// get returns the entry of text, parsed as a data.Native database.
+func (t *dbTable) get(text string) (*dbEntry, error) {
 	t.mu.Lock()
 	for i, e := range t.entries {
 		if e.text == text {
@@ -99,7 +109,7 @@ func (t *dbTable) get(text string) (mining.Database, error) {
 			t.entries[len(t.entries)-1] = e
 			t.mu.Unlock()
 			<-e.ready
-			return e.db, e.err
+			return e, e.err
 		}
 	}
 	e := &dbEntry{text: text, ready: make(chan struct{})}
@@ -111,7 +121,26 @@ func (t *dbTable) get(text string) (mining.Database, error) {
 	t.parses.Inc()
 	e.db, e.err = data.Read(strings.NewReader(text), data.Native)
 	close(e.ready)
-	return e.db, e.err
+	return e, e.err
+}
+
+// fingerprint returns the job fingerprint of the entry's database under
+// algo, o and minSup. It is computed once per key and entry: the other
+// shards of the job, and its retries and hedges, read it back. A caller
+// arriving while it is computed waits for it.
+func (e *dbEntry) fingerprint(algo string, o core.Options, minSup int) uint64 {
+	k := fpKey{algo: algo, opts: core.OptionsSignature(o), minSup: minSup}
+	e.fpMu.Lock()
+	defer e.fpMu.Unlock()
+	fp, ok := e.fps[k]
+	if !ok {
+		fp = core.CheckpointFingerprint(algo, o, minSup, e.db)
+		if e.fps == nil {
+			e.fps = map[fpKey]uint64{}
+		}
+		e.fps[k] = fp
+	}
+	return fp
 }
 
 // NewWorker returns a worker ready to serve shard requests.
@@ -217,15 +246,16 @@ func (w *Worker) HandleShard(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	db, err := w.dbs.get(req.DB)
+	ent, err := w.dbs.get(req.DB)
 	if err != nil {
 		w.reject(rw, http.StatusBadRequest, inputError("decoding shard database: %v", err))
 		return
 	}
-	// The worker recomputes the job identity from what it actually
-	// decoded: a corrupted database or mismatched options cannot silently
-	// mine the wrong job into a checkpoint the coordinator will trust.
-	if got := core.CheckpointFingerprint(req.Algo, req.Options(), req.MinSup, db); got != fp {
+	db := ent.db
+	// The worker derives the job identity from what it actually decoded:
+	// a corrupted database or mismatched options cannot silently mine the
+	// wrong job into a checkpoint the coordinator will trust.
+	if got := ent.fingerprint(req.Algo, req.Options(), req.MinSup); got != fp {
 		w.reject(rw, http.StatusBadRequest,
 			inputError("fingerprint mismatch: request says %016x, decoded job is %016x", fp, got))
 		return

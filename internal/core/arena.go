@@ -47,8 +47,9 @@ type indexTable struct {
 
 // fill clears the table, growing it to maxItem on first use, and indexes
 // list: the ascending frequent extensions of a key whose last itemset has
-// transaction number n (0 for the empty key).
-func (t *indexTable) fill(maxItem seq.Item, n int32, list []seq.Pattern) indexTable {
+// transaction number n (0 for the empty key). A non-nil keep leaves every
+// list[k] with !keep[k] out, so the table reads it as not frequent.
+func (t *indexTable) fill(maxItem seq.Item, n int32, list []seq.Pattern, keep []bool) indexTable {
 	if len(t.i) < int(maxItem)+1 {
 		t.i = make([]int32, maxItem+1)
 		t.s = make([]int32, maxItem+1)
@@ -57,6 +58,9 @@ func (t *indexTable) fill(maxItem seq.Item, n int32, list []seq.Pattern) indexTa
 		clear(t.s)
 	}
 	for k, p := range list {
+		if keep != nil && !keep[k] {
+			continue
+		}
 		if p.LastTNo() == n {
 			t.i[p.LastItem()] = int32(k + 1)
 		} else {
@@ -80,8 +84,7 @@ type scratch struct {
 	disc       *avl.Tree[seq.Pattern, discEntry] // the k-sorted database tree
 	tables     []indexTable                      // per-level extension index tables
 	redTable   indexTable                        // reduceMembers' dedicated table
-	seen       []bool                            // level-0 DistinctItems bitmap
-	itemBuf    []seq.Item                        // DistinctItems output buffer
+	seen       []bool                            // level-0 count's items-seen-in-this-customer bitmap
 	fi, fs     []seq.Item                        // FrequentI/FrequentS output buffers
 	membersBuf []member                          // discLoop's mutable member copy
 	pack       seq.Packer                        // reduceMembers' staging of reduced sequences
@@ -150,29 +153,30 @@ func (s *scratch) discTree() *avl.Tree[seq.Pattern, discEntry] {
 }
 
 // levelTable indexes the frequent extension list of a key at one
-// recursion level (n is the key's LastTNoOrZero) in that level's table.
-// The split at this level holds the table across its deeper recursion,
-// which only touches higher-level tables.
-func (s *scratch) levelTable(level int, n int32, list []seq.Pattern) indexTable {
+// recursion level (n is the key's LastTNoOrZero; keep as in fill) in
+// that level's table. The split at this level holds the table across its
+// deeper recursion, which only touches higher-level tables.
+func (s *scratch) levelTable(level int, n int32, list []seq.Pattern, keep []bool) indexTable {
 	for len(s.tables) <= level {
 		s.tables = append(s.tables, indexTable{})
 	}
-	return s.tables[level].fill(s.maxItem, n, list)
+	return s.tables[level].fill(s.maxItem, n, list, keep)
 }
 
 // reduceTable indexes the frequent 2-sequences of a first-level partition
 // in the table reserved for reduceMembers.
 func (s *scratch) reduceTable(list2 []seq.Pattern) indexTable {
-	return s.redTable.fill(s.maxItem, 1, list2)
+	return s.redTable.fill(s.maxItem, 1, list2, nil)
 }
 
-// seenBitmap returns the cleared level-0 distinct-items bitmap.
+// seenBitmap returns the cleared bitmap with which the level-0 count
+// touches each item once per customer.
 func (s *scratch) seenBitmap() []bool {
 	if len(s.seen) < int(s.maxItem)+1 {
 		s.seen = make([]bool, s.maxItem+1)
 	}
-	// DistinctItems leaves the bitmap clean (it unsets what it set), so no
-	// clear here; newly grown bitmaps start zeroed.
+	// The count unsets what each customer set, so no clear here; newly
+	// grown bitmaps start zeroed.
 	return s.seen
 }
 
@@ -223,7 +227,7 @@ func (s *scratch) MemBytes() int64 {
 		total += int64(cap(t.i)+cap(t.s)) * 4
 	}
 	total += int64(cap(s.redTable.i)+cap(s.redTable.s)) * 4
-	total += int64(cap(s.itemBuf)+cap(s.fi)+cap(s.fs)) * 4
+	total += int64(cap(s.fi)+cap(s.fs)) * 4
 	total += int64(cap(s.membersBuf)) * 16
 	total += int64(cap(s.reducedAt)) * 8
 	for _, buf := range s.bucketBufs {

@@ -121,7 +121,7 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 		}
 		s.fi = arr.FrequentI(2, s.fi[:0])
 		s.fs = arr.FrequentS(2, s.fs[:0])
-		_ = s.levelTable(1, 1, pats)
+		_ = s.levelTable(1, 1, pats, nil)
 		_ = s.reduceTable(pats)
 		_ = s.seenBitmap()
 		tree := s.splitTree(1)

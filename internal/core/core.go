@@ -589,7 +589,7 @@ func (e *engine) processPartition(key seq.Pattern, members []member, level int) 
 // finishes (Steps 2.2 and 2.1.3.3 of Figure 2).
 func (e *engine) split(key seq.Pattern, members []member, list []seq.Pattern, level int) error {
 	s := e.scratch()
-	tab := s.levelTable(level, key.LastTNoOrZero(), list)
+	tab := s.levelTable(level, key.LastTNoOrZero(), list, nil)
 	if level == 0 && e.prog != nil {
 		e.prog.begin(len(list))
 	}
@@ -679,16 +679,23 @@ func (e *engine) frequentExtensions(key seq.Pattern, members []member, depth int
 	s := e.scratch()
 	arr := s.array(depth)
 	if key.IsEmpty() {
-		// Level 0: frequent 1-sequences.
+		// Level 0: frequent 1-sequences. A customer touches each item it
+		// contains once, where the scan first meets it, and clears the
+		// bitmap behind itself. Nothing is sorted: the array ignores the
+		// order of touches, and FrequentS sorts its survivors.
 		seen := s.seenBitmap()
-		buf := s.itemBuf
 		for ci, mb := range members {
-			buf = mb.cs.DistinctItems(buf[:0], seen)
-			for _, it := range buf {
-				arr.TouchS(it, int32(ci))
+			items := mb.cs.Items()
+			for _, it := range items {
+				if !seen[it] {
+					seen[it] = true
+					arr.TouchS(it, int32(ci))
+				}
+			}
+			for _, it := range items {
+				seen[it] = false
 			}
 		}
-		s.itemBuf = buf
 	} else {
 		for ci, mb := range members {
 			cid := int32(ci)

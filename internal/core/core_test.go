@@ -260,7 +260,7 @@ func TestPartitionAssignmentExample31(t *testing.T) {
 		list = append(list, seq.NewPattern(seq.NewItemset(x)))
 	}
 	var table indexTable
-	tab := table.fill(8, 0, list)
+	tab := table.fill(8, 0, list, nil)
 	wantInitial := map[int]seq.Item{
 		1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, // <(a)>-partition
 		8: 2, 10: 2, // <(b)>-partition
@@ -337,7 +337,7 @@ func TestMinFreqExtensionPosition(t *testing.T) {
 			list = append(list, seq.MustParsePattern(s))
 		}
 		var table indexTable
-		tab := table.fill(8, key.LastTNoOrZero(), list)
+		tab := table.fill(8, key.LastTNoOrZero(), list, nil)
 		var bx seq.Item
 		var bno int32
 		if c.bound != "" {

@@ -152,12 +152,13 @@ func (p *progressTracker) finish() {
 // the serial walk's. supports[i] is list[i]'s support among the members
 // the caller counted (see eagerBuckets).
 //
-// It is also the checkpoint boundary: at level 0 with a Checkpointer
-// attached, partitions a prior run completed are restored instead of
-// re-mined, and each freshly completed partition is recorded the moment
-// its worker finishes. Restored and mined partitions interleave in the
-// same ascending-key merge, so a resumed run's result set is
-// byte-identical to a straight run's.
+// At level 0 it is also the shard filter and the checkpoint boundary
+// (see fates): partitions another shard owns are skipped, partitions a
+// prior run completed are restored instead of re-mined, and each freshly
+// completed partition is recorded the moment its worker finishes.
+// Restored and mined partitions interleave in the same ascending-key
+// merge, so a resumed run's result set is byte-identical to a straight
+// run's.
 //
 // Worker closures run under mining.Contain: a panic inside a partition
 // (an injected fault or a violated invariant) surfaces as that
@@ -165,7 +166,8 @@ func (p *progressTracker) finish() {
 // *mining.InvariantError — instead of killing the process from a
 // goroutine no caller can recover.
 func (e *engine) splitParallel(key seq.Pattern, members []member, list []seq.Pattern, supports []int, level int) error {
-	buckets, err := e.eagerBuckets(key, members, list, supports, level)
+	mine, restored := e.fates(list, level)
+	buckets, err := e.eagerBuckets(key, members, list, supports, level, mine)
 	if err != nil {
 		return err
 	}
@@ -173,28 +175,17 @@ func (e *engine) splitParallel(key seq.Pattern, members []member, list []seq.Pat
 		e.prog.begin(len(list))
 	}
 	children := make([]*engine, len(list))
-	restored := make([]*checkpoint.Partition, len(list))
 	errs := make([]error, len(list))
 	var wg sync.WaitGroup
 	for i := range list {
-		// The shard filter: a first-level partition hashing outside this
-		// run's shard belongs to another worker. It is skipped before the
-		// restore check, so a resumed shard consumes only its own
-		// restored partitions even if the checkpoint carries foreign ones.
-		if level == 0 && e.shard != nil && ShardOf(list[i], e.shard.Count) != e.shard.Index {
+		if mine != nil && !mine[i] {
+			if p := restored[i]; p != nil {
+				e.ckpt.reuse(*p)
+			}
 			if e.prog != nil {
 				e.prog.step()
 			}
 			continue
-		}
-		if level == 0 && e.ckpt != nil {
-			if p, ok := e.ckpt.restore(list[i]); ok {
-				restored[i] = &p
-				if e.prog != nil {
-					e.prog.step()
-				}
-				continue
-			}
 		}
 		if len(buckets[i]) < e.minSup {
 			// Too few members survive reduction to host a frequent
@@ -254,6 +245,35 @@ func (e *engine) splitParallel(key seq.Pattern, members []member, list []seq.Pat
 	return firstErr
 }
 
+// fates decides, before a split files anything, what becomes of each
+// partition list[i]. Only a level-0 split of a sharded or checkpointed
+// run leaves any out. A first-level partition hashing outside this run's
+// shard belongs to another worker. It is checked before the checkpoint,
+// so a resumed shard consumes only its own restored partitions even if
+// the checkpoint carries foreign ones. A partition the checkpoint holds is
+// restored: restored[i] is its prior result. Every other partition is
+// mined, and mine[i] marks it; a nil mine means every partition is.
+func (e *engine) fates(list []seq.Pattern, level int) (mine []bool, restored []*checkpoint.Partition) {
+	restored = make([]*checkpoint.Partition, len(list))
+	if level > 0 || (e.shard == nil && e.ckpt == nil) {
+		return nil, restored
+	}
+	mine = make([]bool, len(list))
+	for i, key := range list {
+		if e.shard != nil && ShardOf(key, e.shard.Count) != e.shard.Index {
+			continue
+		}
+		if e.ckpt != nil {
+			if p, ok := e.ckpt.lookup(key); ok {
+				restored[i] = &p
+				continue
+			}
+		}
+		mine[i] = true
+	}
+	return mine, restored
+}
+
 // eagerBuckets assigns every member to the bucket of each frequent
 // extension of key it contains — the transitive closure of Figure 2's
 // reassignment walk, computed upfront so the partitions can be scheduled
@@ -268,6 +288,12 @@ func (e *engine) splitParallel(key seq.Pattern, members []member, list []seq.Pat
 // partition's input (and hence the merged output) independent of
 // scheduling order.
 //
+// A non-nil mine restricts the closure to the partitions the run will
+// mine: the index table leaves every other extension out, so it gets no
+// bucket and no filings. A shard run thus files only its own partitions'
+// members, and a run that mines none of them (the cluster's assembly)
+// skips the scan altogether.
+//
 // supports[i] counts the members containing list[i] before the caller's
 // §3.1 reduction, which only drops customers, so it bounds bucket i's
 // size: the buckets are carved out of one allocation and filing never
@@ -279,11 +305,27 @@ func (e *engine) splitParallel(key seq.Pattern, members []member, list []seq.Pat
 // process crash. They read the submitting engine's index table
 // concurrently but strictly read-only, and all of them finish (wg.Wait)
 // before anything writes that table again.
-func (e *engine) eagerBuckets(key seq.Pattern, members []member, list []seq.Pattern, supports []int, level int) ([][]filing, error) {
+func (e *engine) eagerBuckets(key seq.Pattern, members []member, list []seq.Pattern, supports []int, level int, mine []bool) ([][]filing, error) {
 	if e.obs != nil {
 		defer e.obs.SpanUnder(e.cur, "eager_buckets").End()
 	}
-	tab := e.scratch().levelTable(level, key.LastTNoOrZero(), list)
+	total := 0
+	for i, n := range supports {
+		if mine == nil || mine[i] {
+			total += n
+		}
+	}
+	buckets := make([][]filing, len(list))
+	if total == 0 {
+		return buckets, nil
+	}
+	flat := make([]filing, total)
+	for i, n := range supports {
+		if mine == nil || mine[i] {
+			buckets[i], flat = flat[:0:n], flat[n:]
+		}
+	}
+	tab := e.scratch().levelTable(level, key.LastTNoOrZero(), list, mine)
 	// assign files members[lo:hi] into buckets; filed[b] holds the index
 	// (plus one) of the member last filed into bucket b.
 	assign := func(lo, hi int, buckets [][]filing, filed []int32) {
@@ -308,15 +350,6 @@ func (e *engine) eagerBuckets(key seq.Pattern, members []member, list []seq.Patt
 			}
 			kmin.EnumExtensions(mb.cs, key, mb.at, onI, onS)
 		}
-	}
-	total := 0
-	for _, n := range supports {
-		total += n
-	}
-	flat := make([]filing, total)
-	buckets := make([][]filing, len(list))
-	for i, n := range supports {
-		buckets[i], flat = flat[:0:n], flat[n:]
 	}
 	const chunkMin = 256 // below this, chunking overhead beats the win
 	chunks := 1

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/disc-mining/disc/internal/counting"
 	"github.com/disc-mining/disc/internal/mining"
 	"github.com/disc-mining/disc/internal/prefixspan"
 	"github.com/disc-mining/disc/internal/seq"
@@ -261,7 +263,7 @@ func TestEagerBucketsMatchLazySplit(t *testing.T) {
 		e := &engine{opts: DefaultOptions(), minSup: minSup, maxItem: db.MaxItem(), sched: sched}
 		members := partitionMembers(seq.Pattern{}, db)
 		list, sups := e.frequentExtensions(seq.Pattern{}, members, 0)
-		buckets, err := e.eagerBuckets(seq.Pattern{}, members, list, sups, 0)
+		buckets, err := e.eagerBuckets(seq.Pattern{}, members, list, sups, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,11 +278,106 @@ func TestEagerBucketsMatchLazySplit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			buckets1, err := e.eagerBuckets(key, reduced, list1, sups1, 1)
+			buckets1, err := e.eagerBuckets(key, reduced, list1, sups1, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check(fmt.Sprintf("db %d level 1 key %s", i, key), reduced, list1, buckets1)
+		}
+	}
+}
+
+// TestEagerBucketsKeepSet pins the level-0 split of a run that mines
+// only some first-level partitions (a shard run, a resumed run, the
+// cluster's assembly): given a keep set, each kept bucket equals that
+// bucket of the full closure, filing for filing, and each other bucket is
+// empty. Keep sets of every size are drawn, none and all included, both
+// inline and chunked across a scheduler (at least 256 members).
+func TestEagerBucketsKeepSet(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	for i := 0; i < 24; i++ {
+		db := testutil.RandomDB(r, 12+r.Intn(10), 6, 4, 3)
+		minSup := 1 + r.Intn(3)
+		var sched *scheduler
+		if i%4 == 3 {
+			db = testutil.RandomDB(r, 1400, 8, 5, 3)
+			minSup = 70
+			sched = newScheduler(4)
+		}
+		e := &engine{opts: DefaultOptions(), minSup: minSup, maxItem: db.MaxItem(), sched: sched}
+		members := partitionMembers(seq.Pattern{}, db)
+		list, sups := e.frequentExtensions(seq.Pattern{}, members, 0)
+		full, err := e.eagerBuckets(seq.Pattern{}, members, list, sups, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frac := range []float64{0, 0.25, 0.5, 1} {
+			keep := make([]bool, len(list))
+			for b := range keep {
+				keep[b] = r.Float64() < frac
+			}
+			buckets, err := e.eagerBuckets(seq.Pattern{}, members, list, sups, 0, keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b, key := range list {
+				want := full[b]
+				if !keep[b] {
+					want = nil
+				}
+				if !slices.Equal(buckets[b], want) {
+					t.Fatalf("db %d keep %.2f: bucket %s (kept %t) has %d filings, want %d of the full closure's",
+						i, frac, key, keep[b], len(buckets[b]), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestLevelZeroCount: the level-0 count, which touches each item of a
+// customer where the scan first meets it, finds the frequent 1-sequences
+// and supports a count over seq.DistinctItems finds, and its counting
+// array records the same dedup hits. Customers repeat items across
+// transactions (a small alphabet), and some databases hold one
+// *seq.CustomerSeq several times, each copy a customer of its own.
+func TestLevelZeroCount(t *testing.T) {
+	r := rand.New(rand.NewSource(78))
+	for i := 0; i < 24; i++ {
+		db := testutil.RandomDB(r, 12+r.Intn(40), 5+r.Intn(6), 6, 3)
+		if i%2 == 1 {
+			for j := 0; j < 5; j++ {
+				db = append(db, db[r.Intn(len(db))])
+			}
+		}
+		minSup := 1 + r.Intn(4)
+		rec := &counting.Recorder{}
+		e := &engine{opts: DefaultOptions(), minSup: minSup, maxItem: db.MaxItem(), cntRec: rec}
+		list, sups := e.frequentExtensions(seq.Pattern{}, partitionMembers(seq.Pattern{}, db), 0)
+
+		refRec := &counting.Recorder{}
+		arr := counting.New(db.MaxItem()).Observe(refRec)
+		seen := make([]bool, db.MaxItem()+1)
+		var buf []seq.Item
+		for ci, cs := range db {
+			buf = cs.DistinctItems(buf[:0], seen)
+			for _, x := range buf {
+				arr.TouchS(x, int32(ci))
+			}
+		}
+		want := arr.FrequentS(minSup, nil)
+		if len(list) != len(want) {
+			t.Fatalf("db %d δ=%d: %d frequent 1-sequences, want %d", i, minSup, len(list), len(want))
+		}
+		for k, x := range want {
+			if p := seq.NewPattern(seq.Itemset{x}); seq.Compare(list[k], p) != 0 || sups[k] != arr.SupS(x) {
+				t.Fatalf("db %d δ=%d: entry %d is %s=%d, want %s=%d", i, minSup, k, list[k], sups[k], p, arr.SupS(x))
+			}
+		}
+		if got, want := rec.DedupHits.Load(), refRec.DedupHits.Load(); got != want {
+			t.Fatalf("db %d: level-0 count recorded %d dedup hits, want %d", i, got, want)
+		}
+		if slices.Contains(e.scratch().seen, true) {
+			t.Fatalf("db %d: the level-0 count left its bitmap dirty", i)
 		}
 	}
 }

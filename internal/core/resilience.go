@@ -53,19 +53,25 @@ func ResumeFrom(f *checkpoint.File) *Checkpointer {
 	return c
 }
 
-// restore hands back the stored outcome of a first-level partition, if a
-// prior run completed it. A consumed partition counts as completed for
-// the current run too, so a resumed-then-interrupted run writes a
-// checkpoint covering both runs' work.
-func (c *Checkpointer) restore(key seq.Pattern) (checkpoint.Partition, bool) {
+// lookup hands back the stored outcome of a first-level partition, if a
+// prior run completed it. The level-0 split looks every partition up
+// before it files anything (a restored partition gets no bucket), and
+// consumes the restored ones with reuse in key order afterwards.
+func (c *Checkpointer) lookup(key seq.Pattern) (checkpoint.Partition, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.restored[key.Key()]
-	if ok {
-		c.reused++
-		c.completed = append(c.completed, p)
-	}
 	return p, ok
+}
+
+// reuse consumes a restored partition. It counts as completed for the
+// current run too, so a resumed-then-interrupted run writes a checkpoint
+// covering both runs' work.
+func (c *Checkpointer) reuse(p checkpoint.Partition) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reused++
+	c.completed = append(c.completed, p)
 }
 
 // record snapshots one freshly completed first-level partition. It sorts
@@ -142,8 +148,14 @@ func (c *Checkpointer) File(algo string, minSup int, fingerprint uint64) *checkp
 // Workers is excluded, results and partitions are identical at every
 // worker count), δ and the database content.
 func CheckpointFingerprint(algo string, o Options, minSup int, db mining.Database) uint64 {
-	sig := fmt.Sprintf("bilevel=%t levels=%d gamma=%g", o.BiLevel, o.Levels, o.Gamma)
-	return checkpoint.Fingerprint(algo, sig, minSup, db)
+	return checkpoint.Fingerprint(algo, OptionsSignature(o), minSup, db)
+}
+
+// OptionsSignature renders the options that enter CheckpointFingerprint:
+// the fingerprints of one database under two Options are equal when
+// their signatures are (and algorithm and δ agree).
+func OptionsSignature(o Options) string {
+	return fmt.Sprintf("bilevel=%t levels=%d gamma=%g", o.BiLevel, o.Levels, o.Gamma)
 }
 
 // statsToCheckpoint projects a partition worker's statistics into the

@@ -4,13 +4,14 @@ package jobs
 // started crossing process boundaries (the cluster path multiplies
 // them): budget clobbering in defaultMine, the asynchronous periodic-
 // snapshot stop racing the final checkpoint write, canceled queued jobs
-// leaking their admission slot, and cached terminal jobs holding on to
-// their parsed database.
+// leaking their admission slot, cached terminal jobs holding on to
+// their parsed database, and terminal accounting trailing Done.
 
 import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -283,5 +284,40 @@ func TestTerminalJobsReleaseDatabase(t *testing.T) {
 	}
 	if n := m.ExecCount(done.ID()); n != 1 {
 		t.Fatalf("done job executed %d times, want 1", n)
+	}
+}
+
+// TestFinishedCountedBeforeDone is the regression test for terminal
+// accounting trailing the Done channel: a caller woken by Done must find
+// the job already counted in disc_jobs_finished_total, which Metrics
+// reads. The waiter polls Done instead of parking on it, so it wakes as
+// soon as the channel closes, before a finishing goroutine that counts
+// the job afterwards gets there. It needs two CPUs to catch that order.
+func TestFinishedCountedBeforeDone(t *testing.T) {
+	m := NewManager(Config{Workers: 1, QueueDepth: 1, CacheJobs: 1})
+	defer drain(t, m)
+	m.mine = func(context.Context, *Job, *core.Checkpointer) (*mining.Result, error) {
+		return mining.NewResult(), nil
+	}
+	for i := 1; i <= 300; i++ {
+		j, err := m.Submit(reqFor(smallDB(i), 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for done := false; !done; {
+			select {
+			case <-j.Done():
+				done = true
+			default:
+				runtime.Gosched() // lets a single CPU run the job
+			}
+		}
+		// The counter first: Metrics takes locks before it reads it.
+		if got := m.finished[StateDone].Value(); got != int64(i) {
+			t.Fatalf("job %d: Done closed with disc_jobs_finished_total{state=done} = %d, want %d", i, got, i)
+		}
+		if got := m.Metrics().Done; got != i {
+			t.Fatalf("job %d: Done closed with Metrics().Done = %d, want %d", i, got, i)
+		}
 	}
 }

@@ -85,6 +85,11 @@ type Request struct {
 	// stripped from submissions, so they never enter the fingerprint.
 	Trace      *obs.TraceContext
 	ParentSpan obs.SpanID
+	// Fingerprint is the job fingerprint the manager computed at
+	// admission, handed to a Mine hook so that the hook need not hash the
+	// database again (see JobFingerprint). Owned by the manager like
+	// Trace; zero elsewhere.
+	Fingerprint uint64
 }
 
 // normalize resolves defaults and strips fields the manager owns.
@@ -102,6 +107,7 @@ func (r Request) normalize() Request {
 	r.Opts.Shard = nil // shards are a cluster-internal execution detail, not a job identity
 	r.Trace = nil
 	r.ParentSpan = 0
+	r.Fingerprint = 0
 	return r
 }
 
@@ -110,6 +116,15 @@ func (r Request) normalize() Request {
 // database content — worker count excluded).
 func (r Request) fingerprint() uint64 {
 	return core.CheckpointFingerprint(r.Algo, r.Opts, r.MinSup, r.DB)
+}
+
+// JobFingerprint returns the request's job fingerprint: the manager's,
+// when it handed one over in Fingerprint, else computed from the request.
+func (r Request) JobFingerprint() uint64 {
+	if r.Fingerprint != 0 {
+		return r.Fingerprint
+	}
+	return r.fingerprint()
 }
 
 // Job is one admitted mining job. All fields are private and
@@ -205,23 +220,30 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// finish moves the job to a terminal state exactly once, and drops the
-// job's database: nothing reads it after the run, and up to CacheJobs
-// terminal jobs stay cached, so keeping it would grow the service's
-// memory with every finished job. The run reads the database before its
-// own goroutine finishes the job; a job canceled while queued never runs
-// (runJob sees the cancellation under mu), so no read races the release.
-func (j *Job) finish(s State, res *mining.Result, err error) {
+// finish moves the job to a terminal state exactly once, reporting
+// whether this call did, and drops the job's database: nothing reads it
+// after the run, and up to CacheJobs terminal jobs stay cached, so
+// keeping it would grow the service's memory with every finished job.
+// The run reads the database before its own goroutine finishes the job;
+// a job canceled while queued never runs (runJob sees the cancellation
+// under mu), so no read races the release.
+//
+// account receives the terminal state and the admission-to-terminal
+// latency before Done closes, so a caller woken by Done finds the job
+// counted wherever account counts it.
+func (j *Job) finish(s State, res *mining.Result, err error, account func(State, time.Duration)) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		return
+		return false
 	}
 	j.state, j.result, j.err = s, res, err
 	j.req.DB = nil
 	j.finished = time.Now()
 	j.cancel = nil
+	account(s, j.finished.Sub(j.created))
 	close(j.done)
+	return true
 }
 
 // WriteResult renders a result set in the canonical pattern-per-line

@@ -591,24 +591,8 @@ func (m *Manager) nextJob() *Job {
 // terminal jobs stay addressable (result cache, idempotent retries)
 // until CacheJobs newer ones evict them.
 func (m *Manager) finishJob(j *Job, s State, res *mining.Result, err error) {
-	j.mu.Lock()
-	already := j.state.Terminal()
-	j.mu.Unlock()
-	if already {
+	if !j.finish(s, res, err, m.countFinished) {
 		return
-	}
-	j.finish(s, res, err)
-	// Terminal accounting: the per-state counter and the end-to-end
-	// latency histogram (admission to terminal state).
-	st := j.State()
-	if c, ok := m.finished[st]; ok {
-		c.Inc()
-	}
-	j.mu.Lock()
-	dur := j.finished.Sub(j.created)
-	j.mu.Unlock()
-	if h, ok := m.jobDur[st]; ok && dur > 0 {
-		h.Observe(dur.Seconds())
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -622,6 +606,18 @@ func (m *Manager) finishJob(j *Job, s State, res *mining.Result, err error) {
 			delete(m.jobs, victim)
 			delete(m.execs, victim)
 		}
+	}
+}
+
+// countFinished is the terminal accounting of one job: the per-state
+// counter and the end-to-end latency histogram (admission to terminal
+// state). Job.finish runs it before the job's Done channel closes.
+func (m *Manager) countFinished(s State, dur time.Duration) {
+	if c, ok := m.finished[s]; ok {
+		c.Inc()
+	}
+	if h, ok := m.jobDur[s]; ok && dur > 0 {
+		h.Observe(dur.Seconds())
 	}
 }
 
@@ -883,6 +879,7 @@ func (m *Manager) defaultMine(ctx context.Context, j *Job, cp *core.Checkpointer
 			req.Opts = opts
 			req.Trace = j.trace
 			req.ParentSpan = j.rootSpanID()
+			req.Fingerprint = j.fp
 			r, err := m.cfg.Mine(ctx, req, cp)
 			if err != nil {
 				return err

@@ -118,6 +118,33 @@ func TestSubmitMinesAndServesFromCache(t *testing.T) {
 	}
 }
 
+// TestMineHookGetsAdmissionFingerprint: a Mine hook receives the
+// fingerprint the manager computed at admission, so it need not hash the
+// database again; a submission cannot set it, and a request without one
+// computes its own.
+func TestMineHookGetsAdmissionFingerprint(t *testing.T) {
+	got := make(chan uint64, 1)
+	m := NewManager(Config{Workers: 1, Mine: func(_ context.Context, r Request, _ *core.Checkpointer) (*mining.Result, error) {
+		got <- r.JobFingerprint()
+		return mining.NewResult(), nil
+	}})
+	defer drain(t, m)
+	req := reqFor(smallDB(1), 2)
+	want := req.JobFingerprint()
+	if want != core.CheckpointFingerprint(req.Algo, req.Opts, req.MinSup, req.DB) {
+		t.Fatal("a request without a fingerprint must compute its own")
+	}
+	req.Fingerprint = want ^ 1
+	j, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, j)
+	if fp := <-got; fp != want || fmt.Sprintf("%016x", fp) != j.ID() {
+		t.Fatalf("Mine hook got fingerprint %016x, want %016x (job %s)", fp, want, j.ID())
+	}
+}
+
 func TestUnknownAlgorithmRejectedAtAdmission(t *testing.T) {
 	m := NewManager(Config{})
 	defer drain(t, m)
