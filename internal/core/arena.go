@@ -1,26 +1,26 @@
 // Round arenas of the DISC-all engine. Every per-round and per-partition
-// scratch structure — counting arrays, split trees, the k-sorted database
-// tree, extension index tables, member buffers, the reduction's staging —
-// lives in one scratch bundle owned by an engine. A serial run keeps one
-// bundle for its whole lifetime; a parallel run draws bundles from a
-// sync.Pool shared by the engine tree, so live scratch memory stays
-// proportional to workers × depth while steady-state rounds allocate
-// nothing: trees reset by slab rewind, counting arrays by epoch stamping,
-// index tables by memclr, item buffers by re-slicing to length zero.
+// scratch structure — counting arrays, the k-sorted database tree, the
+// extension index table, member buffers, the reduction's staging — lives
+// in one scratch bundle owned by an engine. Every engine of a run draws
+// its bundle from a sync.Pool shared by the engine tree, so live scratch
+// memory stays proportional to workers × depth while steady-state rounds
+// allocate nothing: trees reset by slab rewind, counting arrays by epoch
+// stamping, the index table by memclr, item buffers by re-slicing to
+// length zero.
 //
 // Aliasing rules (all proven by the -race hammer in arena_test.go):
 //
-//   - A bundle belongs to exactly one engine at a time; engines of a
-//     parallel run never share one (children draw their own).
-//   - Split trees, index tables and partition member buffers are per
-//     recursion level: the split at level L holds its tree, table and
-//     the member slice of the partition it is processing across the
-//     deeper recursion, which only touches level L+1 structures. A
-//     scheduled partition of a level-L split builds its members in its
-//     own engine's level-L buffer, which that engine never splits at.
-//     reduceMembers gets a dedicated table because it runs at level 1
-//     while the level-0 split's table is live and before the level-1
-//     split fills its own.
+//   - A bundle belongs to exactly one engine at a time; engines of a run
+//     never share one (children draw their own).
+//   - Partition member buffers are per recursion level: a split at level
+//     L builds the members of the partition it is running in its engine's
+//     level-L buffer and holds them across the deeper recursion, which
+//     only touches level L+1 buffers. A partition a level-L split hands
+//     to a child engine builds its members in the child's level-L buffer,
+//     which that engine never splits at.
+//   - One index table suffices per bundle: eagerBuckets and reduceMembers
+//     each fill it and finish reading it before they return, and no
+//     split holds it across the recursion.
 //   - One DISC tree suffices per bundle: discLoop is a leaf of the
 //     partition recursion (discover never re-enters processPartition).
 //   - eagerBuckets chunk goroutines read the submitting engine's index
@@ -39,8 +39,8 @@ import (
 // indexTable locates the frequent extensions of one prefix key in their
 // ascending list, per item: i[x] for the i-form (x joins key's last
 // itemset), s[x] for the s-form, each holding the pair's position in the
-// list plus one, or 0 when the pair is not frequent. minFreqExtension and
-// reduceMembers read the entries as flags, eagerBuckets as bucket indices.
+// list plus one, or 0 when the pair is not frequent. reduceMembers reads
+// the entries as flags, eagerBuckets as bucket indices.
 type indexTable struct {
 	i, s []int32
 }
@@ -79,14 +79,11 @@ type scratch struct {
 	cntRec  *counting.Recorder
 
 	arrays     []*counting.Array                 // per-depth counting arrays
-	splitTrees []*avl.Tree[seq.Pattern, filing]  // per-level split trees
 	bucketBufs [][]member                        // per-level members of the partition a split is running
 	disc       *avl.Tree[seq.Pattern, discEntry] // the k-sorted database tree
-	tables     []indexTable                      // per-level extension index tables
-	redTable   indexTable                        // reduceMembers' dedicated table
+	table      indexTable                        // the extension index table of eagerBuckets and reduceMembers
 	seen       []bool                            // level-0 count's items-seen-in-this-customer bitmap
 	fi, fs     []seq.Item                        // FrequentI/FrequentS output buffers
-	membersBuf []member                          // discLoop's mutable member copy
 	pack       seq.Packer                        // reduceMembers' staging of reduced sequences
 	reducedAt  []int                             // reduceMembers' matching points of the staged sequences
 }
@@ -109,26 +106,13 @@ func (s *scratch) array(depth int) *counting.Array {
 	return a
 }
 
-// splitTree returns the reset split tree for one recursion level.
-func (s *scratch) splitTree(level int) *avl.Tree[seq.Pattern, filing] {
-	for len(s.splitTrees) <= level {
-		s.splitTrees = append(s.splitTrees, nil)
-	}
-	t := s.splitTrees[level]
-	if t == nil {
-		t = avl.New[seq.Pattern, filing](seq.Compare).Observe(s.avlRec)
-		s.splitTrees[level] = t
-	}
-	t.Reset()
-	return t
-}
-
 // filedMembers turns a bucket of the level's split over members into the
 // members of its partition, each at its own matching point of the
 // partition key, in the level's member buffer, so that no partition
 // allocates its member slice. The buffer's previous partition is cleared
-// first. A scheduled partition's own engine calls it, so the slice lives
-// in that engine's bundle while the partition runs.
+// first. The engine that runs the partition calls it — a child engine, or
+// below the fan-out the splitting engine itself — so the slice lives in
+// that engine's bundle while the partition runs.
 func (s *scratch) filedMembers(level int, members []member, bucket []filing) []member {
 	for len(s.bucketBufs) <= level {
 		s.bucketBufs = append(s.bucketBufs, nil)
@@ -152,23 +136,6 @@ func (s *scratch) discTree() *avl.Tree[seq.Pattern, discEntry] {
 	return s.disc
 }
 
-// levelTable indexes the frequent extension list of a key at one
-// recursion level (n is the key's LastTNoOrZero; keep as in fill) in
-// that level's table. The split at this level holds the table across its
-// deeper recursion, which only touches higher-level tables.
-func (s *scratch) levelTable(level int, n int32, list []seq.Pattern, keep []bool) indexTable {
-	for len(s.tables) <= level {
-		s.tables = append(s.tables, indexTable{})
-	}
-	return s.tables[level].fill(s.maxItem, n, list, keep)
-}
-
-// reduceTable indexes the frequent 2-sequences of a first-level partition
-// in the table reserved for reduceMembers.
-func (s *scratch) reduceTable(list2 []seq.Pattern) indexTable {
-	return s.redTable.fill(s.maxItem, 1, list2, nil)
-}
-
 // seenBitmap returns the cleared bitmap with which the level-0 count
 // touches each item once per customer.
 func (s *scratch) seenBitmap() []bool {
@@ -181,23 +148,16 @@ func (s *scratch) seenBitmap() []bool {
 }
 
 // release drops round-local references (pattern keys and customer
-// sequences in trees, members in buffers) while keeping every slab and
-// capacity, so a pooled bundle neither leaks the previous partition's
-// data nor re-allocates. The member buffers are cleared up to their
-// length only: whoever refills one clears what it held first (a stale
-// member past the length would keep its sequence reachable, and a reduced
-// sequence shares its arrays with its whole partition).
+// sequences in the DISC tree, members in buffers) while keeping every
+// slab and capacity, so a pooled bundle neither leaks the previous
+// partition's data nor re-allocates. The member buffers are cleared up
+// to their length only: whoever refills one clears what it held first (a
+// stale member past the length would keep its sequence reachable, and a
+// reduced sequence shares its arrays with its whole partition).
 func (s *scratch) release() {
-	for _, t := range s.splitTrees {
-		if t != nil {
-			t.Reset()
-		}
-	}
 	if s.disc != nil {
 		s.disc.Reset()
 	}
-	clear(s.membersBuf)
-	s.membersBuf = s.membersBuf[:0]
 	for i, buf := range s.bucketBufs {
 		clear(buf)
 		s.bucketBufs[i] = buf[:0]
@@ -214,21 +174,12 @@ func (s *scratch) MemBytes() int64 {
 			total += a.MemBytes()
 		}
 	}
-	for _, t := range s.splitTrees {
-		if t != nil {
-			total += t.MemBytes()
-		}
-	}
 	if s.disc != nil {
 		total += s.disc.MemBytes()
 	}
 	total += int64(len(s.seen))
-	for _, t := range s.tables {
-		total += int64(cap(t.i)+cap(t.s)) * 4
-	}
-	total += int64(cap(s.redTable.i)+cap(s.redTable.s)) * 4
+	total += int64(cap(s.table.i)+cap(s.table.s)) * 4
 	total += int64(cap(s.fi)+cap(s.fs)) * 4
-	total += int64(cap(s.membersBuf)) * 16
 	total += int64(cap(s.reducedAt)) * 8
 	for _, buf := range s.bucketBufs {
 		total += int64(cap(buf)) * 16
@@ -237,9 +188,9 @@ func (s *scratch) MemBytes() int64 {
 	return total
 }
 
-// scratchPool shares arena bundles across the partition workers of one
-// run. All bundles of a pool share the run-wide recorders, so a recycled
-// bundle is indistinguishable from a fresh one apart from its warm slabs.
+// scratchPool shares arena bundles across the engines of one run. All
+// bundles of a pool share the run-wide recorders, so a recycled bundle is
+// indistinguishable from a fresh one apart from its warm slabs.
 type scratchPool struct {
 	maxItem seq.Item
 	avlRec  *avl.Recorder
@@ -262,34 +213,26 @@ func (sp *scratchPool) put(s *scratch) {
 }
 
 // scratch returns the engine's arena bundle, drawing one lazily from the
-// run's pool (parallel) or building a private one (serial).
+// run's pool.
 func (e *engine) scratch() *scratch {
 	if e.scr == nil {
+		var reused bool
+		e.scr, reused = e.pool.get()
 		e.stats.ArenaAcquires++
-		if e.pool != nil {
-			var reused bool
-			e.scr, reused = e.pool.get()
-			if reused {
-				e.stats.ArenaReuses++
-			}
-		} else {
-			e.scr = newScratch(e.maxItem, e.avlRec, e.cntRec)
+		if reused {
+			e.stats.ArenaReuses++
 		}
 	}
 	return e.scr
 }
 
-// releaseScratch returns the engine's bundle to the run's pool (or to the
-// garbage collector for a serial run). Called when a partition worker
-// finishes and at the end of the run.
+// releaseScratch returns the engine's bundle to the run's pool. Called
+// when a child engine's partition finishes and at the end of the run.
 func (e *engine) releaseScratch() {
-	if e.scr == nil {
-		return
-	}
-	if e.pool != nil {
+	if e.scr != nil {
 		e.pool.put(e.scr)
+		e.scr = nil
 	}
-	e.scr = nil
 }
 
 // scratchBytes is the nil-safe footprint read for the budget sampler.

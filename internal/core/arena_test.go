@@ -67,45 +67,40 @@ func TestArenaRaceHammer(t *testing.T) {
 	}
 }
 
-// TestArenaStatsCounters pins the acquire/reuse accounting: a serial run
-// owns exactly one private bundle, and a parallel run over a database
-// with more first-level partitions than workers must recycle bundles
-// through the pool (reuses > 0, and never more reuses than draws).
+// TestArenaStatsCounters pins the acquire/reuse accounting: a run over a
+// database with more first-level partitions than workers, serial or
+// parallel, must recycle bundles through the pool (reuses > 0, and never
+// more reuses than draws). The exact count is not pinned: sync.Pool may
+// drop what it holds, and does so at random under -race.
 func TestArenaStatsCounters(t *testing.T) {
 	ncust := 400
 	if testing.Short() {
 		ncust = 200
 	}
 	db := testutil.SkewedRandomDB(rand.New(rand.NewSource(77)), ncust, 14, 8, 5)
-	serial := &Miner{Opts: Options{BiLevel: true, Levels: 2, Workers: 1}}
-	if _, err := serial.Mine(db, 4); err != nil {
-		t.Fatal(err)
-	}
-	if s := serial.LastStats(); s.ArenaAcquires != 1 || s.ArenaReuses != 0 {
-		t.Fatalf("serial run: acquires=%d reuses=%d, want 1/0", s.ArenaAcquires, s.ArenaReuses)
-	}
-	par := &Miner{Opts: Options{BiLevel: true, Levels: 2, Workers: 4}}
-	if _, err := par.Mine(db, 4); err != nil {
-		t.Fatal(err)
-	}
-	s := par.LastStats()
-	if s.ArenaAcquires == 0 {
-		t.Fatal("parallel run acquired no arena bundles")
-	}
-	if s.ArenaReuses == 0 {
-		t.Fatalf("parallel run never recycled a bundle through the pool (acquires=%d)", s.ArenaAcquires)
-	}
-	if s.ArenaReuses > s.ArenaAcquires {
-		t.Fatalf("reuses %d exceed acquires %d", s.ArenaReuses, s.ArenaAcquires)
+	for _, workers := range []int{1, 4} {
+		m := &Miner{Opts: Options{BiLevel: true, Levels: 2, Workers: workers}}
+		if _, err := m.Mine(db, 4); err != nil {
+			t.Fatal(err)
+		}
+		s := m.LastStats()
+		if s.ArenaAcquires == 0 {
+			t.Fatalf("workers=%d: run acquired no arena bundles", workers)
+		}
+		if s.ArenaReuses == 0 {
+			t.Fatalf("workers=%d: run never recycled a bundle through the pool (acquires=%d)", workers, s.ArenaAcquires)
+		}
+		if s.ArenaReuses > s.ArenaAcquires {
+			t.Fatalf("workers=%d: reuses %d exceed acquires %d", workers, s.ArenaReuses, s.ArenaAcquires)
+		}
 	}
 }
 
 // TestScratchSteadyStateAllocs is the regression guard for per-round
 // slice churn: once a bundle has served one partition of a given shape,
-// serving the same shape again — counting array, split tree and its
-// popped-bucket members, DISC tree, index tables, the reduction's staging,
-// distinct-items scan, frequent-extension collection — must not touch the
-// heap at all.
+// serving the same shape again — counting array, a bucket's members, DISC
+// tree, index table, the reduction's staging, distinct-items scan,
+// frequent-extension collection — must not touch the heap at all.
 func TestScratchSteadyStateAllocs(t *testing.T) {
 	s := newScratch(40, nil, nil)
 	pats := make([]seq.Pattern, 16)
@@ -113,6 +108,10 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 		pats[i] = seq.NewPattern(seq.NewItemset(seq.Item(i+1)), seq.NewItemset(seq.Item(i/2+1)))
 	}
 	members := make([]member, len(pats))
+	bucket := make([]filing, len(pats))
+	for i := range bucket {
+		bucket[i] = filing{idx: int32(i)}
+	}
 	round := func() {
 		arr := s.array(1)
 		for i := 0; i < 64; i++ {
@@ -121,15 +120,8 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 		}
 		s.fi = arr.FrequentI(2, s.fi[:0])
 		s.fs = arr.FrequentS(2, s.fs[:0])
-		_ = s.levelTable(1, 1, pats, nil)
-		_ = s.reduceTable(pats)
+		_ = s.table.fill(s.maxItem, 1, pats, nil)
 		_ = s.seenBitmap()
-		tree := s.splitTree(1)
-		for i, p := range pats {
-			tree.Insert(p, filing{idx: int32(i)})
-			tree.Insert(pats[0], filing{idx: int32(i)})
-		}
-		_, bucket, _ := tree.PopMin()
 		_ = s.filedMembers(1, members, bucket)
 		s.pack.Reset()
 		for i, p := range pats {

@@ -73,10 +73,11 @@ type Options struct {
 	Gamma float64
 
 	// Workers bounds the number of concurrent partition workers of the
-	// execution layer. 0 selects runtime.GOMAXPROCS(0); 1 forces the
-	// serial walk. The mined result is identical at every setting: the
-	// parallel scheduler assigns deterministic per-partition inputs and
-	// merges partition results in ascending key order.
+	// execution layer. 0 selects runtime.GOMAXPROCS(0); 1 runs every
+	// partition inline on the calling goroutine. The mined result and the
+	// statistics are identical at every setting: every split assigns
+	// deterministic per-partition inputs and merges partition results in
+	// ascending key order.
 	Workers int
 
 	// Progress, when non-nil, receives execution progress events (one per
@@ -196,11 +197,11 @@ func (s *Stats) partitionProcessed(level int) {
 	s.PartitionsByLevel[level]++
 }
 
-// merge folds the statistics of a completed partition worker into s. The
-// scheduler merges workers in ascending partition-key order, so the merged
-// statistics are deterministic for a fixed input; the counters equal the
-// serial run's exactly, and the per-level NRR means (combined by weighted
-// average) match it up to floating-point associativity.
+// merge folds the statistics of a completed child engine into s. A split
+// merges its children in ascending partition-key order, and which
+// partitions run on child engines depends on the level alone, so the
+// merged statistics, the per-level NRR means (combined by weighted
+// average) included, are the same at every worker count.
 func (s *Stats) merge(o *Stats) {
 	s.Rounds += o.Rounds
 	s.FrequentHits += o.FrequentHits
@@ -317,11 +318,11 @@ type filing struct {
 	idx, at int32
 }
 
-// engine runs the shared partition-or-DISC recursion. A parallel run
-// creates one child engine per scheduled partition (its own patterns,
-// statistics and counting-array scratch state) and merges the children
-// back in ascending partition-key order; ctx, sched, pool and prog are
-// shared across the engine tree.
+// engine runs the shared partition-or-DISC recursion. A split above
+// parallelSplitDepth creates one child engine per partition (its own
+// patterns, statistics and arena bundle) and merges the children back in
+// ascending partition-key order; ctx, sched, pool and prog are shared
+// across the engine tree.
 type engine struct {
 	opts    Options
 	policy  func(level int, nrr float64) bool
@@ -331,8 +332,8 @@ type engine struct {
 	scr     *scratch // this engine's arena bundle; drawn lazily (see arena.go)
 	stats   Stats
 	ctx     context.Context       // nil means "never cancelled" (direct engine use in tests)
-	sched   *scheduler            // nil for a serial run
-	pool    *scratchPool          // shared arena-bundle pool of a parallel run
+	sched   *scheduler            // the run's scheduler: pooled goroutine or inline
+	pool    *scratchPool          // the run's shared arena-bundle pool
 	prog    *progressTracker      // nil unless Options.Progress is set
 	budget  *budgetState          // nil unless a resource budget is set
 	ckpt    *Checkpointer         // nil unless checkpoint/resume is enabled
@@ -373,18 +374,14 @@ func (e *engine) run(ctx context.Context, db mining.Database, minSup int) (*mini
 	}
 	e.faults = e.opts.Faults
 	e.initObs()
-	if workers > 1 {
-		e.sched = newScheduler(workers)
-		e.sched.degraded = e.budget
-		e.pool = &scratchPool{maxItem: e.maxItem, avlRec: e.avlRec, cntRec: e.cntRec}
-	}
+	e.initExec(workers)
 	members := make([]member, len(db))
 	for i, cs := range db {
 		members[i] = member{cs: cs, at: -1}
 	}
-	// The serial walk (and everything the root goroutine itself executes)
-	// is contained here; worker goroutines are contained at their spawn
-	// sites in parallel.go. Either way a panic surfaces as an
+	// Everything the root goroutine itself executes is contained here;
+	// worker goroutines are contained at their spawn sites in
+	// parallel.go. Either way a panic surfaces as an
 	// *mining.InvariantError from Mine instead of crashing the process.
 	// The root is the only engine that builds a Result: a pattern mined
 	// twice panics in its Add here.
@@ -484,14 +481,6 @@ func (e *engine) add(p seq.Pattern, support int) {
 	e.pats = append(e.pats, mining.PatternCount{Pattern: p, Support: support})
 }
 
-// array returns the counting array for one recursion depth, from the
-// engine's arena bundle (see arena.go: parallel runs draw whole bundles
-// from a shared pool, so live scratch memory stays proportional to
-// workers × depth rather than to the number of scheduled partitions).
-func (e *engine) array(depth int) *counting.Array {
-	return e.scratch().array(depth)
-}
-
 // processPartition handles one <key>-partition whose members are exactly
 // the customers containing key (len(key) == level). It discovers the
 // frequent (level+1)-sequences with prefix key, then either splits into
@@ -514,9 +503,9 @@ func (e *engine) processPartition(key seq.Pattern, members []member, level int) 
 	// The partition span becomes the parent of everything opened while
 	// mining this partition — deeper partitions, eager-bucket closures —
 	// so a traced run yields a hierarchy mirroring the recursion. The
-	// previous innermost span is restored on the way out (the serial
-	// split walks partitions depth-first on one goroutine; parallel
-	// children each carry their own copy of cur from child()).
+	// previous innermost span is restored on the way out (a split below
+	// the fan-out walks its partitions depth-first on this engine; child
+	// engines each carry their own copy of cur from child()).
 	sp := e.partitionSpan(level)
 	prev := e.cur
 	if sp.Live() {
@@ -556,121 +545,24 @@ func (e *engine) processPartition(key seq.Pattern, members []member, level int) 
 		}
 	}
 
-	// A checkpointed or sharded run always splits eagerly at level 0,
-	// regardless of the policy: the eager split isolates each first-level
-	// partition's result (for recording) and is where the shard filter
-	// applies (a shard that fell through to the whole-database DISC loop
-	// would mine every other shard's work too). Forcing the split is
+	// A checkpointed or sharded run always splits at level 0, regardless
+	// of the policy: the split isolates each first-level partition's
+	// result (for recording) and is where the shard filter applies (a
+	// shard that fell through to the whole-database DISC loop would mine
+	// every other shard's work too). Forcing the split is
 	// result-preserving — the partitioning strategies never change the
 	// mined set, only how it is found (the difftest Levels/γ grid pins
 	// this) — so a γ=0 dynamic run and its forced-split shard still agree
 	// byte for byte.
-	if level == 0 && (e.ckpt != nil || e.shard != nil) {
-		return e.splitParallel(key, members, listNext, supports, level)
-	}
+	forced := level == 0 && (e.ckpt != nil || e.shard != nil)
 	// The degradation ladder's first rung: past the soft-budget
 	// threshold, deeper partitions switch straight to DISC (the Levels=1
 	// shape) — fewer live child partitions and scratch trees, with a
 	// result set proven identical by the differential harness.
-	if e.policy(level, nrr) && !(level >= 1 && e.budget.isDegraded()) {
-		// The eager (scheduled) split handles level-0 and level-1 splits
-		// of a parallel run.
-		if len(listNext) > 1 && e.sched != nil && level < parallelSplitDepth {
-			return e.splitParallel(key, members, listNext, supports, level)
-		}
-		return e.split(key, members, listNext, level)
+	if forced || (e.policy(level, nrr) && !(level >= 1 && e.budget.isDegraded())) {
+		return e.split(key, members, listNext, supports, level)
 	}
 	return e.discLoop(members, listNext, level+2)
-}
-
-// split partitions members by their minimal contained frequent extension
-// of key, processes the partitions in ascending order, and reassigns
-// customers to their next minimal contained extension after each partition
-// finishes (Steps 2.2 and 2.1.3.3 of Figure 2).
-func (e *engine) split(key seq.Pattern, members []member, list []seq.Pattern, level int) error {
-	s := e.scratch()
-	tab := s.levelTable(level, key.LastTNoOrZero(), list, nil)
-	if level == 0 && e.prog != nil {
-		e.prog.begin(len(list))
-	}
-	tree := s.splitTree(level)
-	// file files members[i] under its minimal frequent extension of key
-	// beyond the bound, at the extension's matching point; the walk
-	// starts from key's, members[i].at.
-	file := func(i int32, boundX seq.Item, boundNo int32, strict bool) {
-		mb := members[i]
-		if x, no, pos, ok := minFreqExtension(mb.cs, key, mb.at, tab, boundX, boundNo, strict); ok {
-			tree.Insert(key.Extend(x, no), filing{idx: i, at: int32(pos)})
-		}
-	}
-	for i := range members {
-		file(int32(i), 0, 0, false)
-	}
-	for tree.Size() > 0 {
-		if err := e.interrupted(); err != nil {
-			return err
-		}
-		pkey, bucket, _ := tree.PopMin()
-		// The bucket holds every remaining customer containing pkey, so
-		// its size is pkey's exact support; pkey comes from the frequent
-		// list.
-		if len(bucket) >= e.minSup {
-			if err := e.processPartition(pkey, s.filedMembers(level, members, bucket), level+1); err != nil {
-				return err
-			}
-		}
-		if level == 0 && e.prog != nil {
-			e.prog.step()
-		}
-		bx, bno := pkey.LastItem(), pkey.LastTNo()
-		for _, f := range bucket {
-			file(f.idx, bx, bno, true)
-		}
-	}
-	return nil
-}
-
-// minFreqExtension returns the minimal frequent extension pair (x, no) of
-// key contained in cs, restricted to pairs greater than (boundX, boundNo)
-// when strict (or at least it otherwise); boundX == 0 accepts everything.
-// at is key's matching point in cs, pos the extension's. Frequency of a
-// pair is read from key's index table: a non-zero entry in tab.i (the
-// pair grows key's last itemset) or tab.s (it opens a new one).
-func minFreqExtension(cs *seq.CustomerSeq, key seq.Pattern, at int, tab indexTable, boundX seq.Item, boundNo int32, strict bool) (x seq.Item, no int32, pos int, ok bool) {
-	// Only a strictly smaller pair replaces the best one, so pos stays at
-	// the pair's first report: its leftmost match.
-	consider := func(y seq.Item, yno int32, p int) {
-		if boundX != 0 {
-			c := seq.ComparePair(y, yno, boundX, boundNo)
-			if c < 0 || (strict && c == 0) {
-				return
-			}
-		}
-		if !ok || seq.ComparePair(y, yno, x, no) < 0 {
-			x, no, pos, ok = y, yno, p, true
-		}
-	}
-	if key.IsEmpty() {
-		for p, y := range cs.Items() {
-			if tab.s[y] != 0 {
-				consider(y, 1, p)
-			}
-		}
-		return x, no, pos, ok
-	}
-	n := key.LastTNo()
-	kmin.EnumExtensions(cs, key, at,
-		func(y seq.Item, p int) {
-			if tab.i[y] != 0 {
-				consider(y, n, p)
-			}
-		},
-		func(y seq.Item, p int) {
-			if tab.s[y] != 0 {
-				consider(y, n+1, p)
-			}
-		})
-	return x, no, pos, ok
 }
 
 // frequentExtensions finds the frequent (len(key)+1)-sequences with prefix
@@ -744,15 +636,12 @@ func mergeExtensions(key seq.Pattern, arr *counting.Array, fi, fs []seq.Item) ([
 // reports that as an error rather than crashing from a worker goroutine.
 func (e *engine) reduceMembers(lambda seq.Item, members []member, list2 []seq.Pattern) ([]member, error) {
 	s := e.scratch()
-	// reduceMembers runs at level 1 while the level-0 split's index table
-	// is live, so it uses the arena's dedicated one. A non-zero entry
-	// marks a frequent 2-sequence <(λ x)> (tab.i) or <(λ)(x)> (tab.s).
-	tab := s.reduceTable(list2)
-	// The caller's slice is left untouched: the parent split still walks it
-	// (with the original, unreduced sequences) for reassignment. The
-	// reduced sequences escape into deeper partitions, so the packer copies
-	// them into fresh arrays shared by the whole partition; their staging
-	// is arena memory.
+	// A non-zero entry marks a frequent 2-sequence <(λ x)> (tab.i) or
+	// <(λ)(x)> (tab.s).
+	tab := s.table.fill(s.maxItem, 1, list2, nil)
+	// The reduced sequences escape into deeper partitions, so the packer
+	// copies them into fresh arrays shared by the whole partition; their
+	// staging is arena memory.
 	pk := &s.pack
 	pk.Reset()
 	ats := s.reducedAt[:0]

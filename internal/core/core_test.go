@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/disc-mining/disc/internal/bruteforce"
@@ -208,6 +209,7 @@ func TestReduceMembersTable7(t *testing.T) {
 	db := testutil.Table6()
 	e := &engine{minSup: 3, maxItem: db.MaxItem(),
 		opts: DefaultOptions(), policy: func(int, float64) bool { return true }}
+	e.initExec(1)
 	key := seq.MustParsePattern("(a)")
 	members := partitionMembers(key, db[:7]) // CIDs 1-7 form the <(a)>-partition
 	list2, _ := e.frequentExtensions(key, members, 1)
@@ -243,50 +245,51 @@ func TestReduceMembersTable7(t *testing.T) {
 }
 
 // TestPartitionAssignmentExample31 checks the first-level partition
-// assignment of Example 3.1 (Table 6, δ=3) through minFreqExtension. Two
-// deliberate differences from the paper's bookkeeping are also pinned
-// down: CID 9's minimum item d is not frequent, so it is assigned directly
-// to its minimal *frequent* item f (the paper parks it in the
-// <(d)>-partition, which is later skipped and reassigned — same effect);
-// and after the <(a)>-partition is processed, CID 5 = (a, g) is reassigned
-// to <(g)> rather than removed (the paper drops it because the minimum
-// point sits at the end; keeping it preserves the partition-size =
-// support invariant and is harmless since it cannot host any 2-sequence).
+// assignment of Example 3.1 (Table 6, δ=3) through the split's closure:
+// each frequent item's bucket holds exactly the customers containing it,
+// so its size is the item's support. Two deliberate differences from the
+// paper's bookkeeping are also pinned down: CID 9's minimum item d is not
+// frequent, so d gets no partition and CID 9 is filed under its minimal
+// *frequent* item f (the paper parks it in the <(d)>-partition, which is
+// later skipped and reassigned — same effect); and CID 5 = (a, g) is in
+// the <(g)>-partition too (the paper drops it after the <(a)>-partition
+// because the minimum point sits at the end; keeping it preserves the
+// partition-size = support invariant and is harmless since it cannot host
+// any 2-sequence).
 func TestPartitionAssignmentExample31(t *testing.T) {
 	db := testutil.Table6()
+	e := &engine{opts: DefaultOptions(), minSup: 3, maxItem: db.MaxItem()}
+	e.initExec(1)
+	members := partitionMembers(seq.Pattern{}, db)
+	list, sups := e.frequentExtensions(seq.Pattern{}, members, 0)
+	buckets, err := e.eagerBuckets(seq.Pattern{}, members, list, sups, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Frequent items at δ=3: everything but d (support 2).
-	var list []seq.Pattern
-	for _, x := range []seq.Item{1, 2, 3, 5, 6, 7, 8} {
-		list = append(list, seq.NewPattern(seq.NewItemset(x)))
+	want := map[string][]int{
+		"<(a)>": {1, 2, 3, 4, 5, 6, 7},
+		"<(b)>": {2, 7, 8, 10},
+		"<(c)>": {1, 2, 3, 4, 10},
+		"<(e)>": {2, 3, 4, 6, 7, 8, 10, 11},
+		"<(f)>": {2, 3, 4, 6, 8, 9, 10, 11},       // CID 9 here, not under d
+		"<(g)>": {1, 2, 3, 4, 5, 6, 7, 9, 10, 11}, // CID 5 after <(a)>
+		"<(h)>": {1, 3, 4, 6, 7, 8, 9, 10},
 	}
-	var table indexTable
-	tab := table.fill(8, 0, list, nil)
-	wantInitial := map[int]seq.Item{
-		1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, // <(a)>-partition
-		8: 2, 10: 2, // <(b)>-partition
-		9:  6, // paper: <(d)>-partition; d is non-frequent, so directly f
-		11: 5, // <(e)>-partition
+	if len(list) != len(want) {
+		t.Fatalf("%d first-level partitions %v, want %d", len(list), list, len(want))
 	}
-	for _, cs := range db {
-		x, no, _, ok := minFreqExtension(cs, seq.Pattern{}, -1, tab, 0, 0, false)
-		if !ok || no != 1 || x != wantInitial[cs.CID] {
-			t.Errorf("CID %d initial partition = item %d (%v), want %d", cs.CID, x, ok, wantInitial[cs.CID])
+	for i, key := range list {
+		var cids []int
+		for _, f := range buckets[i] {
+			cids = append(cids, members[f.idx].cs.CID)
 		}
-	}
-	// Reassignment after processing the <(a)>-partition (bound item a,
-	// strict): the rightmost column of Table 6.
-	wantNext := map[int]seq.Item{
-		1: 3, // <(c)>-partition
-		2: 2, // <(b)>-partition
-		3: 3, 4: 3,
-		5: 7, // paper: removed; here <(g)> (see comment above)
-		6: 5, // <(e)>-partition
-		7: 2,
-	}
-	for _, cs := range db[:7] {
-		x, _, _, ok := minFreqExtension(cs, seq.Pattern{}, -1, tab, 1, 1, true)
-		if !ok || x != wantNext[cs.CID] {
-			t.Errorf("CID %d next partition = item %d (%v), want %d", cs.CID, x, ok, wantNext[cs.CID])
+		w, ok := want[key.Letters()]
+		if !ok || !slices.Equal(cids, w) {
+			t.Errorf("partition %s holds CIDs %v, want %v", key.Letters(), cids, w)
+		}
+		if len(buckets[i]) != sups[i] {
+			t.Errorf("partition %s holds %d customers, support %d", key.Letters(), len(buckets[i]), sups[i])
 		}
 	}
 	// End-to-end: exactly the 7 frequent first-level partitions are
@@ -298,67 +301,5 @@ func TestPartitionAssignmentExample31(t *testing.T) {
 	st := m.LastStats()
 	if len(st.PartitionsByLevel) < 2 || st.PartitionsByLevel[0] != 1 || st.PartitionsByLevel[1] != 7 {
 		t.Errorf("PartitionsByLevel = %v, want [1 7 ...]", st.PartitionsByLevel)
-	}
-}
-
-// TestMinFreqExtensionPosition: minFreqExtension reports, with the
-// minimal frequent extension it picks, that extension's leftmost matching
-// point in the customer — the position the split files the customer under
-// — with and without a bound, including an i-extension available only at
-// a later match of the key.
-func TestMinFreqExtensionPosition(t *testing.T) {
-	cases := []struct {
-		name, cs, key string
-		list          []string // key's frequent extensions, ascending
-		bound         string   // "" for none
-		strict        bool
-		want          string // "" when no extension qualifies
-	}{
-		{"root", "(b)(a, c)(a)", "", []string{"(a)", "(b)", "(c)"}, "", false, "(a)"},
-		{"root above a", "(b)(a, c)(a)", "", []string{"(a)", "(b)", "(c)"}, "(a)", true, "(b)"},
-		{"root from b", "(b)(a, c)(a)", "", []string{"(a)", "(b)", "(c)"}, "(b)", false, "(b)"},
-		{"root infrequent minimum", "(d)(b, c)", "", []string{"(a)", "(b)", "(c)"}, "", false, "(b)"},
-		{"s-form", "(a, c)(b)(a, c)", "(a)", []string{"(a, c)", "(a)(b)", "(a)(c)"}, "", false, "(a)(b)"},
-		{"i-form above bound", "(a, c)(b)(a, c)", "(a)", []string{"(a, c)", "(a)(b)", "(a)(c)"}, "(a)(b)", true, "(a, c)"},
-		{"s-form past i-form", "(a, c)(b)(a, c)", "(a)", []string{"(a, c)", "(a)(b)", "(a)(c)"}, "(a, c)", true, "(a)(c)"},
-		{"i-form at a later match", "(a)(b)(a, c)", "(a)", []string{"(a, c)"}, "", false, "(a, c)"},
-		{"deeper key", "(a)(b)(a, b)(c)(b, c)", "(a)(b)", []string{"(a)(b, c)", "(a)(b)(c)"}, "", false, "(a)(b, c)"},
-		{"deeper key above bound", "(a)(b)(a, b)(c)(b, c)", "(a)(b)", []string{"(a)(b, c)", "(a)(b)(c)"}, "(a)(b, c)", true, "(a)(b)(c)"},
-		{"nothing above bound", "(a)(b)(a, b)(c)(b, c)", "(a)(b)", []string{"(a)(b, c)", "(a)(b)(c)"}, "(a)(b)(c)", true, ""},
-	}
-	for _, c := range cases {
-		cs := seq.MustParseCustomerSeq(1, c.cs)
-		var key seq.Pattern
-		if c.key != "" {
-			key = seq.MustParsePattern(c.key)
-		}
-		var list []seq.Pattern
-		for _, s := range c.list {
-			list = append(list, seq.MustParsePattern(s))
-		}
-		var table indexTable
-		tab := table.fill(8, key.LastTNoOrZero(), list, nil)
-		var bx seq.Item
-		var bno int32
-		if c.bound != "" {
-			b := seq.MustParsePattern(c.bound)
-			bx, bno = b.LastItem(), b.LastTNo()
-		}
-		_, at, _ := cs.LeftmostMatch(key)
-		x, no, pos, ok := minFreqExtension(cs, key, at, tab, bx, bno, c.strict)
-		if c.want == "" {
-			if ok {
-				t.Errorf("%s: got %s, want none", c.name, key.Extend(x, no).Letters())
-			}
-			continue
-		}
-		want := seq.MustParsePattern(c.want)
-		if !ok || !key.Extend(x, no).Equal(want) {
-			t.Errorf("%s: got (%d, %d, %v), want %s", c.name, x, no, ok, want.Letters())
-			continue
-		}
-		if _, wantPos, _ := cs.LeftmostMatch(want); pos != wantPos {
-			t.Errorf("%s: %s filed at %d, leftmost matching point %d", c.name, want.Letters(), pos, wantPos)
-		}
 	}
 }

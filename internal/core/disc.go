@@ -19,15 +19,11 @@ type discEntry struct {
 // partition shrinks below δ (Step 2.1.3.2 of Figure 2). With the bi-level
 // option each call to discover handles lengths k and k+1 in one pass over
 // the k-sorted database.
+//
+// It filters members in place: the slice belongs to this partition (the
+// run's root slice, a member buffer of the engine's bundle, or the §3.1
+// reduction's output), and nothing reads it once the partition is done.
 func (e *engine) discLoop(members []member, listPrev []seq.Pattern, startK int) error {
-	// Copy: the slice is filtered in place below, and the caller's split
-	// still needs its bucket intact for reassignment. The copy lives in
-	// the arena (discLoop is a leaf of the partition recursion, so one
-	// buffer per engine suffices).
-	s := e.scratch()
-	clear(s.membersBuf) // the previous partition's members must not outlive it
-	s.membersBuf = append(s.membersBuf[:0], members...)
-	members = s.membersBuf
 	k := startK
 	for len(listPrev) > 0 && len(members) >= e.minSup {
 		if err := e.interrupted(); err != nil {

@@ -57,6 +57,7 @@ func TestDiscoverGoldenTables8to10(t *testing.T) {
 		seq.MustParsePattern("(a)(a, h)"),
 	}
 	e := &engine{minSup: 3, maxItem: 8, opts: Options{BiLevel: true}}
+	e.initExec(1)
 	listK, listK1 := e.discover(members, list3, 4)
 	res := patternResult(e.pats)
 
@@ -125,6 +126,7 @@ func TestDiscoverWithoutBiLevel(t *testing.T) {
 		seq.MustParsePattern("(a)(a, h)"),
 	}
 	e := &engine{minSup: 3, maxItem: 8, opts: Options{BiLevel: false}}
+	e.initExec(1)
 	listK, listK1 := e.discover(members, list3, 4)
 	if len(listK) != 3 || len(listK1) != 0 {
 		t.Fatalf("non-bilevel discover: %d 4-seqs, %d 5-seqs", len(listK), len(listK1))

@@ -1,20 +1,20 @@
-// Parallel partition scheduling. DISC-all's divide-and-conquer structure
-// (Figure 2) produces independent partitions — processPartition touches
-// only its own members, counting arrays and AVL scratch state — so the
-// first two partitioning levels are fanned out onto a bounded worker pool.
+// Partition scheduling. DISC-all's divide-and-conquer structure (Figure
+// 2) produces independent partitions — processPartition touches only its
+// own members, counting arrays and AVL scratch state — so the first two
+// partitioning levels are fanned out onto a bounded worker pool.
 //
-// The serial algorithm assigns customers to partitions lazily: each
-// customer sits in the bucket of its minimal contained frequent extension
-// and is reassigned to the next one when that bucket is popped (Steps 2.2
-// and 2.1.3.3 of Figure 2). Walked to completion, the reassignment chain
-// visits exactly the frequent extensions the customer contains, so the
-// bucket a partition eventually sees is precisely "the members containing
-// its key". The parallel path computes that closure upfront
-// (eagerBuckets), which makes every partition's input independent of the
-// processing order and therefore schedulable: per-partition results and
-// statistics are merged back in ascending key order, so a parallel run is
-// deterministic and produces the same result set as the serial walk at
-// any worker count.
+// Figure 2 assigns customers to partitions lazily: each customer sits in
+// the bucket of its minimal contained frequent extension and is
+// reassigned to the next one when that bucket is popped (Steps 2.2 and
+// 2.1.3.3). Walked to completion, the reassignment chain visits exactly
+// the frequent extensions the customer contains, so the bucket a
+// partition eventually sees is precisely "the members containing its
+// key". Every split computes that closure up front (eagerBuckets), which
+// makes every partition's input independent of the processing order and
+// therefore schedulable. Per-partition results and statistics merge back
+// in ascending key order, and the partitions a run hands to child engines
+// do not depend on its worker count, so the result and the statistics
+// are identical at any worker count.
 package core
 
 import (
@@ -24,14 +24,15 @@ import (
 	"github.com/disc-mining/disc/internal/checkpoint"
 	"github.com/disc-mining/disc/internal/kmin"
 	"github.com/disc-mining/disc/internal/mining"
+	"github.com/disc-mining/disc/internal/obs"
 	"github.com/disc-mining/disc/internal/seq"
 )
 
 // parallelSplitDepth is the number of partitioning levels fanned out onto
-// the worker pool: splits at levels 0 and 1 schedule their level-1 and
-// level-2 partitions concurrently. Deeper splits (Levels > 2 or Dynamic
-// configurations) stay serial within their worker — by then the fan-out
-// above them already saturates the pool.
+// the worker pool: splits at levels 0 and 1 hand their level-1 and
+// level-2 partitions to the scheduler. Deeper splits (Levels > 2 or
+// Dynamic configurations) run their partitions inline within their
+// worker — by then the fan-out above them already saturates the pool.
 const parallelSplitDepth = 2
 
 // cancelCheckMask throttles cooperative cancellation checks inside the
@@ -39,22 +40,25 @@ const parallelSplitDepth = 2
 // path.
 const cancelCheckMask = 63
 
-// scheduler is the bounded worker pool of a parallel run. Its capacity is
+// scheduler is the bounded worker pool of a run. Its capacity is
 // workers-1 because the submitting goroutine always works too (the inline
 // fallback of do), so at most `workers` partition jobs run concurrently
 // and submission never blocks — which also makes the nested fan-out
-// (level-1 partitions scheduling level-2 partitions) deadlock-free.
-//
-// A nil *scheduler is valid and runs everything inline — the serial
-// execution path of a checkpointed single-worker run.
+// (level-1 partitions scheduling level-2 partitions) deadlock-free. At
+// one worker it has no slot and runs everything inline.
 type scheduler struct {
 	workers  int
 	sem      chan struct{}
 	degraded *budgetState // when non-nil and degraded, stop spawning
 }
 
-func newScheduler(workers int) *scheduler {
-	return &scheduler{workers: workers, sem: make(chan struct{}, workers-1)}
+// initExec gives the run its scheduler and its arena-bundle pool. Every
+// run has both: the scheduler alone decides whether a partition runs on a
+// pooled goroutine or inline, and every engine draws its bundle from the
+// pool.
+func (e *engine) initExec(workers int) {
+	e.sched = &scheduler{workers: workers, sem: make(chan struct{}, workers-1), degraded: e.budget}
+	e.pool = &scratchPool{maxItem: e.maxItem, avlRec: e.avlRec, cntRec: e.cntRec}
 }
 
 // do runs fn on its own goroutine when a worker slot is free, and inline
@@ -64,7 +68,7 @@ func newScheduler(workers int) *scheduler {
 // from then on: in-flight workers finish, no new goroutines (and none of
 // their private scratch state) are created.
 func (s *scheduler) do(wg *sync.WaitGroup, fn func()) {
-	if s == nil || s.degraded.isDegraded() {
+	if s.degraded.isDegraded() {
 		fn()
 		return
 	}
@@ -144,13 +148,18 @@ func (p *progressTracker) finish() {
 	p.fn(mining.ProgressEvent{Stage: mining.StagePartitions, Done: p.total, Total: p.total, Workers: p.workers})
 }
 
-// splitParallel is the scheduled counterpart of split: it computes every
-// child partition's membership upfront and runs the qualifying partitions
-// on the worker pool, each on a child engine with private patterns,
-// statistics and scratch state. Children are merged back in ascending
-// key order (list is sorted), so the outcome is deterministic and equal to
-// the serial walk's. supports[i] is list[i]'s support among the members
-// the caller counted (see eagerBuckets).
+// split files members into the partition of every frequent extension of
+// key they contain (eagerBuckets), mines each partition left with at
+// least δ members, and merges the partitions back in ascending key order
+// (list is sorted): Steps 2.1 and 2.2 of Figure 2. supports[i] is
+// list[i]'s support among the members the caller counted.
+//
+// A split above parallelSplitDepth hands each partition to a child engine
+// with private patterns, statistics and scratch state, which the
+// scheduler runs on a pooled goroutine or inline. A deeper split runs its
+// partitions inline on its own engine. Which partitions get child engines
+// depends on the level only, never on the worker count, so the merged
+// result and statistics do not either.
 //
 // At level 0 it is also the shard filter and the checkpoint boundary
 // (see fates): partitions another shard owns are skipped, partitions a
@@ -165,11 +174,31 @@ func (p *progressTracker) finish() {
 // partition's error — the run drains cleanly and Mine returns an
 // *mining.InvariantError — instead of killing the process from a
 // goroutine no caller can recover.
-func (e *engine) splitParallel(key seq.Pattern, members []member, list []seq.Pattern, supports []int, level int) error {
+func (e *engine) split(key seq.Pattern, members []member, list []seq.Pattern, supports []int, level int) error {
 	mine, restored := e.fates(list, level)
-	buckets, err := e.eagerBuckets(key, members, list, supports, level, mine)
+	// The closure is timed where the fan-out is; deeper splits, like
+	// deeper partitions (partitionStages), are too many to time one by one.
+	var sp obs.Span
+	if e.obs != nil && level < parallelSplitDepth {
+		sp = e.obs.SpanUnder(e.cur, "eager_buckets")
+	}
+	buckets, err := e.eagerBuckets(key, members, list, supports, mine)
+	sp.End()
 	if err != nil {
 		return err
+	}
+	if level >= parallelSplitDepth {
+		// Below the fan-out: each partition runs inline on this engine, in
+		// ascending key order, through this level's member buffer.
+		for i, b := range buckets {
+			if len(b) < e.minSup {
+				continue
+			}
+			if err := e.processPartition(list[i], e.scratch().filedMembers(level, members, b), level+1); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	if level == 0 && e.prog != nil {
 		e.prog.begin(len(list))
@@ -276,8 +305,8 @@ func (e *engine) fates(list []seq.Pattern, level int) (mine []bool, restored []*
 
 // eagerBuckets assigns every member to the bucket of each frequent
 // extension of key it contains — the transitive closure of Figure 2's
-// reassignment walk, computed upfront so the partitions can be scheduled
-// concurrently. One extension scan per member finds them all: key's index
+// reassignment walk, computed up front so the partitions can be scheduled
+// in any order. One extension scan per member finds them all: key's index
 // table turns each contained frequent extension into its bucket, and the
 // scan's first report of an extension, its leftmost match, files the
 // member there at the extension's matching point. Later reports of the
@@ -299,16 +328,14 @@ func (e *engine) fates(list []seq.Pattern, level int) (mine []bool, restored []*
 // size: the buckets are carved out of one allocation and filing never
 // regrows one.
 //
-// The closure walk is itself chunked across the pool; chunk results are
-// concatenated in member order. Chunk goroutines run under
-// mining.Contain, so a panic in a scan comes back as an error, never as a
-// process crash. They read the submitting engine's index table
-// concurrently but strictly read-only, and all of them finish (wg.Wait)
-// before anything writes that table again.
-func (e *engine) eagerBuckets(key seq.Pattern, members []member, list []seq.Pattern, supports []int, level int, mine []bool) ([][]filing, error) {
-	if e.obs != nil {
-		defer e.obs.SpanUnder(e.cur, "eager_buckets").End()
-	}
+// With several workers and enough members the closure walk is itself
+// chunked across the pool; chunk results are concatenated in member
+// order. Chunk goroutines run under mining.Contain, so a panic in a scan
+// comes back as an error, never as a process crash. They read the
+// submitting engine's index table concurrently but strictly read-only,
+// and all of them finish (wg.Wait) before eagerBuckets returns: the table
+// is dead once the buckets exist.
+func (e *engine) eagerBuckets(key seq.Pattern, members []member, list []seq.Pattern, supports []int, mine []bool) ([][]filing, error) {
 	total := 0
 	for i, n := range supports {
 		if mine == nil || mine[i] {
@@ -325,7 +352,8 @@ func (e *engine) eagerBuckets(key seq.Pattern, members []member, list []seq.Patt
 			buckets[i], flat = flat[:0:n], flat[n:]
 		}
 	}
-	tab := e.scratch().levelTable(level, key.LastTNoOrZero(), list, mine)
+	s := e.scratch()
+	tab := s.table.fill(s.maxItem, key.LastTNoOrZero(), list, mine)
 	// assign files members[lo:hi] into buckets; filed[b] holds the index
 	// (plus one) of the member last filed into bucket b.
 	assign := func(lo, hi int, buckets [][]filing, filed []int32) {
@@ -352,10 +380,7 @@ func (e *engine) eagerBuckets(key seq.Pattern, members []member, list []seq.Patt
 		}
 	}
 	const chunkMin = 256 // below this, chunking overhead beats the win
-	chunks := 1
-	if e.sched != nil {
-		chunks = min(e.sched.workers, len(members)/chunkMin)
-	}
+	chunks := min(e.sched.workers, len(members)/chunkMin)
 	if chunks < 2 {
 		// Inline on the submitting goroutine: a panic here is contained
 		// by the enclosing Contain of the worker (or of run itself).

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -11,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/disc-mining/disc/internal/checkpoint"
 	"github.com/disc-mining/disc/internal/counting"
 	"github.com/disc-mining/disc/internal/mining"
 	"github.com/disc-mining/disc/internal/prefixspan"
@@ -58,8 +62,8 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestParallelStatsMatchSerial: the merged statistics of a parallel run
-// must carry the same counters as the serial run (the per-level NRR means
-// may differ in the last ulps from merge associativity).
+// must carry the same counters and the same per-level NRR means, bit for
+// bit, as the serial run.
 func TestParallelStatsMatchSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(72))
 	db := testutil.SkewedRandomDB(r, 80, 12, 6, 4)
@@ -78,19 +82,80 @@ func TestParallelStatsMatchSerial(t *testing.T) {
 	if fmt.Sprint(s.PartitionsByLevel) != fmt.Sprint(p.PartitionsByLevel) {
 		t.Errorf("PartitionsByLevel %v vs %v", s.PartitionsByLevel, p.PartitionsByLevel)
 	}
-	for lvl := range s.NRRByLevel {
-		if lvl >= len(p.NRRByLevel) || absDiff(s.NRRByLevel[lvl], p.NRRByLevel[lvl]) > 1e-9 {
-			t.Errorf("NRRByLevel[%d]: %v vs %v", lvl, s.NRRByLevel, p.NRRByLevel)
-			break
-		}
+	if !sameBits(s.NRRByLevel, p.NRRByLevel) {
+		t.Errorf("NRRByLevel %v vs %v", s.NRRByLevel, p.NRRByLevel)
 	}
 }
 
-func absDiff(a, b float64) float64 {
-	if a > b {
-		return a - b
+// sameBits reports whether a and b hold the same floats, bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestWorkerCountIndependence: which partitions run on child engines
+// depends on the level alone, so a run's statistics and its checkpoint
+// are the same at every worker count — NRR means bit for bit, and the
+// checkpoint byte for byte once its partitions (recorded in completion
+// order) are sorted by key. Levels 3 and Dynamic split below the fan-out,
+// where a worker-count-dependent split would merge the NRR means in a
+// different association. ArenaReuses is left out: it counts the pool's
+// warm hits, which depend on scheduling and on the garbage collector.
+func TestWorkerCountIndependence(t *testing.T) {
+	db := benchDB()
+	minSups := []int{4, 8}
+	if testing.Short() {
+		minSups = minSups[1:] // the -race pass: δ=4 mines four times longer
 	}
-	return b - a
+	for _, minSup := range minSups {
+		for _, cfg := range []struct {
+			name string
+			mk   func(Options) mining.ContextMiner
+			opts Options
+		}{
+			{"levels2", func(o Options) mining.ContextMiner { return &Miner{Opts: o} }, Options{BiLevel: true, Levels: 2}},
+			{"levels3", func(o Options) mining.ContextMiner { return &Miner{Opts: o} }, Options{BiLevel: true, Levels: 3}},
+			{"dynamic", func(o Options) mining.ContextMiner { return &Dynamic{Opts: o} }, Options{BiLevel: true, Gamma: 0.5}},
+		} {
+			var refStats Stats
+			var refCkpt []byte
+			for _, workers := range []int{1, 2, 4} {
+				opts := cfg.opts
+				opts.Workers = workers
+				opts.Checkpoint = NewCheckpointer()
+				m := cfg.mk(opts)
+				if _, err := m.MineContext(context.Background(), db, minSup); err != nil {
+					t.Fatal(err)
+				}
+				var st Stats
+				switch m := m.(type) {
+				case *Miner:
+					st = m.LastStats()
+				case *Dynamic:
+					st = m.LastStats()
+				}
+				st.ArenaReuses = 0
+				f := opts.Checkpoint.File(cfg.name, minSup, 0)
+				slices.SortFunc(f.Partitions, func(a, b checkpoint.Partition) int { return seq.Compare(a.Key, b.Key) })
+				var buf bytes.Buffer
+				if _, err := f.Write(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if workers == 1 {
+					refStats, refCkpt = st, buf.Bytes()
+					continue
+				}
+				if !sameBits(st.NRRByLevel, refStats.NRRByLevel) {
+					t.Errorf("%s δ=%d workers=%d: NRRByLevel %v, workers=1 %v", cfg.name, minSup, workers, st.NRRByLevel, refStats.NRRByLevel)
+				}
+				if !reflect.DeepEqual(st, refStats) {
+					t.Errorf("%s δ=%d workers=%d: stats %+v, workers=1 %+v", cfg.name, minSup, workers, st, refStats)
+				}
+				if !bytes.Equal(buf.Bytes(), refCkpt) {
+					t.Errorf("%s δ=%d workers=%d: checkpoint differs from workers=1's", cfg.name, minSup, workers)
+				}
+			}
+		}
+	}
 }
 
 // slowDB returns a database on which mining takes long enough to cancel
@@ -216,15 +281,15 @@ func TestProgressEvents(t *testing.T) {
 	}
 }
 
-// TestEagerBucketsMatchLazySplit pins the closure property the scheduler
+// TestSplitBucketsMatchContainment pins the closure property the split
 // relies on: eager bucket i holds exactly the members containing list[i],
-// in member order, which is what the lazy reassignment walk eventually
-// delivers, and each entry carries list[i]'s leftmost matching point in
-// the member's sequence, where the partition's scans start. It covers the
-// level-0 split and a level-1 split over reduced members, both inline
-// (small partitions, no scheduler) and chunked across a scheduler (at
-// least 256 members).
-func TestEagerBucketsMatchLazySplit(t *testing.T) {
+// in member order, and each entry carries list[i]'s leftmost matching
+// point in the member's sequence, where the partition's scans start. It
+// covers fixed inputs — an i-form found only at a later match of the key,
+// and a deeper key — then the level-0 split and a level-1 split over
+// reduced members of generated databases, both inline (small partitions,
+// one worker) and chunked across four workers (at least 256 members).
+func TestSplitBucketsMatchContainment(t *testing.T) {
 	r := rand.New(rand.NewSource(74))
 	check := func(label string, members []member, list []seq.Pattern, buckets [][]filing) {
 		t.Helper()
@@ -249,21 +314,59 @@ func TestEagerBucketsMatchLazySplit(t *testing.T) {
 			}
 		}
 	}
+	for _, c := range []struct {
+		name, key string
+		list, db  []string // the key's frequent extensions, ascending; the customers
+	}{
+		// <(a, c)> first matches in the third transaction, past <(a)>'s
+		// leftmost match in the first.
+		{"i-form at a later match", "(a)", []string{"(a)(b)", "(a, c)", "(a)(c)"},
+			[]string{"(a)(b)(a, c)", "(a, c)(b)(a, c)", "(b)(a)(c)"}},
+		{"deeper key", "(a)(b)", []string{"(a)(b, c)", "(a)(b)(c)"},
+			[]string{"(a)(b)(a, b)(c)(b, c)", "(a)(b, c)", "(b)(a)(b)"}},
+	} {
+		key := seq.MustParsePattern(c.key)
+		var list []seq.Pattern
+		for _, p := range c.list {
+			list = append(list, seq.MustParsePattern(p))
+		}
+		var db []*seq.CustomerSeq
+		for i, body := range c.db {
+			db = append(db, seq.MustParseCustomerSeq(i+1, body))
+		}
+		members := partitionMembers(key, db)
+		sups := make([]int, len(list))
+		for b, p := range list {
+			for _, mb := range members {
+				if _, _, ok := mb.cs.LeftmostMatch(p); ok {
+					sups[b]++
+				}
+			}
+		}
+		e := &engine{opts: DefaultOptions(), minSup: 1, maxItem: 8}
+		e.initExec(1)
+		buckets, err := e.eagerBuckets(key, members, list, sups, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(c.name, members, list, buckets)
+	}
 	for i := 0; i < 24; i++ {
 		db := testutil.RandomDB(r, 12+r.Intn(10), 6, 4, 3)
 		minSup := 1 + r.Intn(3)
-		var sched *scheduler
+		workers := 1
 		if i%4 == 3 {
 			// Chunked: enough members for several chunks at level 0 and
 			// at level 1 after reduction.
 			db = testutil.RandomDB(r, 1400, 8, 5, 3)
 			minSup = 70
-			sched = newScheduler(4)
+			workers = 4
 		}
-		e := &engine{opts: DefaultOptions(), minSup: minSup, maxItem: db.MaxItem(), sched: sched}
+		e := &engine{opts: DefaultOptions(), minSup: minSup, maxItem: db.MaxItem()}
+		e.initExec(workers)
 		members := partitionMembers(seq.Pattern{}, db)
 		list, sups := e.frequentExtensions(seq.Pattern{}, members, 0)
-		buckets, err := e.eagerBuckets(seq.Pattern{}, members, list, sups, 0, nil)
+		buckets, err := e.eagerBuckets(seq.Pattern{}, members, list, sups, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +381,7 @@ func TestEagerBucketsMatchLazySplit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			buckets1, err := e.eagerBuckets(key, reduced, list1, sups1, 1, nil)
+			buckets1, err := e.eagerBuckets(key, reduced, list1, sups1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,22 +395,23 @@ func TestEagerBucketsMatchLazySplit(t *testing.T) {
 // cluster's assembly): given a keep set, each kept bucket equals that
 // bucket of the full closure, filing for filing, and each other bucket is
 // empty. Keep sets of every size are drawn, none and all included, both
-// inline and chunked across a scheduler (at least 256 members).
+// inline and chunked across four workers (at least 256 members).
 func TestEagerBucketsKeepSet(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for i := 0; i < 24; i++ {
 		db := testutil.RandomDB(r, 12+r.Intn(10), 6, 4, 3)
 		minSup := 1 + r.Intn(3)
-		var sched *scheduler
+		workers := 1
 		if i%4 == 3 {
 			db = testutil.RandomDB(r, 1400, 8, 5, 3)
 			minSup = 70
-			sched = newScheduler(4)
+			workers = 4
 		}
-		e := &engine{opts: DefaultOptions(), minSup: minSup, maxItem: db.MaxItem(), sched: sched}
+		e := &engine{opts: DefaultOptions(), minSup: minSup, maxItem: db.MaxItem()}
+		e.initExec(workers)
 		members := partitionMembers(seq.Pattern{}, db)
 		list, sups := e.frequentExtensions(seq.Pattern{}, members, 0)
-		full, err := e.eagerBuckets(seq.Pattern{}, members, list, sups, 0, nil)
+		full, err := e.eagerBuckets(seq.Pattern{}, members, list, sups, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +420,7 @@ func TestEagerBucketsKeepSet(t *testing.T) {
 			for b := range keep {
 				keep[b] = r.Float64() < frac
 			}
-			buckets, err := e.eagerBuckets(seq.Pattern{}, members, list, sups, 0, keep)
+			buckets, err := e.eagerBuckets(seq.Pattern{}, members, list, sups, keep)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,6 +456,7 @@ func TestLevelZeroCount(t *testing.T) {
 		minSup := 1 + r.Intn(4)
 		rec := &counting.Recorder{}
 		e := &engine{opts: DefaultOptions(), minSup: minSup, maxItem: db.MaxItem(), cntRec: rec}
+		e.initExec(1)
 		list, sups := e.frequentExtensions(seq.Pattern{}, partitionMembers(seq.Pattern{}, db), 0)
 
 		refRec := &counting.Recorder{}

@@ -27,9 +27,9 @@ import (
 )
 
 // CheckClusterChaos runs db through the coordinator-side failure
-// regimes — and the disk-fault regimes of CheckStorageFaults — on both
-// shardable engines and verifies byte-identical results plus fired-fault
-// evidence for each.
+// regimes on both shardable engines and verifies byte-identical results
+// plus fired-fault evidence for each. The disk-fault regimes are
+// CheckStorageFaults' own.
 func CheckClusterChaos(db mining.Database, minSup int, seed int64) error {
 	const shards = 3
 	for _, cfg := range clusterConfigs() {
@@ -47,12 +47,6 @@ func CheckClusterChaos(db mining.Database, minSup int, seed int64) error {
 			return err
 		}
 		if err := chaosStragglerHedge(cfg.name, req, want, shards, seed); err != nil {
-			return err
-		}
-		if err := chaosLedgerENOSPC(cfg.name, req, want, shards, seed); err != nil {
-			return err
-		}
-		if err := chaosCorruptLedgerRecover(cfg.name, req, want, shards, seed); err != nil {
 			return err
 		}
 	}

@@ -25,8 +25,9 @@ import (
 )
 
 // CheckStorageFaults runs db through the two disk-fault regimes on both
-// shardable engines. CheckClusterChaos includes these same regimes; this
-// entry point lets the storage-fault harness run them alone.
+// shardable engines. It is the only entry point that runs them: the
+// storage-fault grid (make storagefault) drives it, and CheckClusterChaos
+// leaves them out.
 func CheckStorageFaults(db mining.Database, minSup int, seed int64) error {
 	const shards = 3
 	for _, cfg := range clusterConfigs() {
